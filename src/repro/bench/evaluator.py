@@ -1,4 +1,4 @@
-"""Benchmark evaluation orchestrator: generate → compile → check jobs → pass@k.
+"""Benchmark evaluation front end: generate → compile → check jobs → pass@k.
 
 The evaluator scores a generation pipeline (backend + optional SI-CoT) on a
 benchmark suite the same way the paper does:
@@ -11,7 +11,8 @@ benchmark suite the same way the paper does:
   correctness);
 * per-task (n, c) counts are aggregated with the unbiased pass@k estimator.
 
-Since the compile-once refactor the evaluation is *job-based*: each unique
+:class:`BenchmarkEvaluator` is a thin in-memory front over the run engine's
+check core, :func:`repro.runs.engine.check_samples`: each unique
 ``(candidate design, stimulus, mode)`` triple becomes one
 :class:`~repro.bench.jobs.CheckRequest`, executed exactly once and memoised by
 its content-addressed :class:`~repro.bench.jobs.ResultKey`.  Repeated
@@ -19,31 +20,33 @@ candidates — across samples, temperatures, whole ``evaluate`` calls — cost a
 dict lookup; syntax checking and DUT elaboration ride the shared
 :class:`~repro.verilog.design.DesignDatabase`.  With
 ``EvaluationConfig(max_workers=N)`` independent checks execute concurrently on
-a process pool (with a transparent serial fallback), since tasks share no
-state beyond the memo.
+a process pool (with a transparent serial fallback).  Per-task counting and
+best-temperature selection (:func:`assemble_task_result`,
+:func:`best_temperature`) are shared with the journal-driven
+:class:`~repro.runs.aggregate.StreamingAggregator`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
-from ..core.llm.base import GenerationConfig
 from ..core.pipeline import HaVenPipeline
 from ..verilog.syntax_checker import SyntaxChecker
-from ..verilog.simulator.testbench import TestbenchResult
 from .golden import GoldenCache
 from .jobs import (
+    CheckExecution,
+    CheckOutcome,
     CheckRequest,
-    ExecutionPolicy,
     ResultKey,
-    design_key,
     mode_key,
-    run_checks,
     stimulus_key,
 )
 from .passk import compute_pass_at_k
 from .task import BenchmarkSuite, BenchmarkTask
+
+#: Maximum failure examples kept per task result.
+MAX_FAILURE_EXAMPLES = 3
 
 
 @dataclass
@@ -105,27 +108,7 @@ class EvaluationConfig:
 
     def single_temperature(self) -> "EvaluationConfig":
         """A copy that only evaluates the first temperature (for quick runs)."""
-        return EvaluationConfig(
-            num_samples=self.num_samples,
-            ks=self.ks,
-            temperatures=(self.temperatures[0],),
-            seed=self.seed,
-            stimulus_seed=self.stimulus_seed,
-            max_tasks=self.max_tasks,
-            use_batch_simulator=self.use_batch_simulator,
-            differential_oracle=self.differential_oracle,
-            simulator_backend=self.simulator_backend,
-            mode=self.mode,
-            formal_conflict_limit=self.formal_conflict_limit,
-            formal_incremental=self.formal_incremental,
-            induction_depth=self.induction_depth,
-            max_workers=self.max_workers,
-            memoize_results=self.memoize_results,
-            check_timeout_s=self.check_timeout_s,
-            max_attempts=self.max_attempts,
-            retry_backoff_s=self.retry_backoff_s,
-            retry_backoff_cap_s=self.retry_backoff_cap_s,
-        )
+        return replace(self, temperatures=self.temperatures[:1])
 
     def to_dict(self) -> dict:
         """JSON-safe serialization (run manifests persist this verbatim)."""
@@ -296,8 +279,8 @@ def task_check_keys(
     """Stimulus plus the (stimulus, mode) halves of every :class:`ResultKey`.
 
     This is the single definition of how a task's checking side is
-    content-addressed; the in-memory evaluator and the resumable run engine
-    both build their keys here so their verdicts land on the same addresses.
+    content-addressed; the check core builds every key here, so the in-memory
+    evaluator and the resumable run engine land on the same addresses.
     With memoisation off, the key is salted per temperature so nothing is
     shared between temperature sweeps (the guaranteed-cold baseline).
     """
@@ -355,20 +338,51 @@ def check_request_for(
     )
 
 
-@dataclass
-class _TemperaturePlan:
-    """Generated samples for one (task, temperature) evaluation job."""
+def assemble_task_result(
+    task_id: str,
+    category: str,
+    temperature: float,
+    outcomes: Sequence[CheckOutcome],
+    num_quarantined: int = 0,
+) -> TaskResult:
+    """Count one (task, temperature) slice of per-sample outcomes, in sample order.
 
-    task: BenchmarkTask
-    temperature: float
-    codes: list[str]
-    syntax_ok: list[bool]
-    syntax_errors: list[str]
-    keys: list[ResultKey | None]
+    The single per-task assembly: the evaluator feeds it the outcomes it just
+    checked, the streaming aggregator the journaled ones.  Failure examples
+    are capped at :data:`MAX_FAILURE_EXAMPLES`, first failures first.
+    """
+    functional_passes = 0
+    syntax_passes = 0
+    failures: list[str] = []
+    for outcome in outcomes:
+        if not outcome.syntax_ok:
+            if len(failures) < MAX_FAILURE_EXAMPLES:
+                failures.append(outcome.syntax_error)
+            continue
+        syntax_passes += 1
+        if outcome.functional_passed:
+            functional_passes += 1
+        elif len(failures) < MAX_FAILURE_EXAMPLES:
+            failures.append(outcome.failure_summary)
+    return TaskResult(
+        task_id=task_id,
+        category=category,
+        num_samples=len(outcomes),
+        num_functional_passes=functional_passes,
+        num_syntax_passes=syntax_passes,
+        temperature=temperature,
+        failure_examples=failures,
+        num_quarantined=num_quarantined,
+    )
+
+
+def best_temperature(candidates: Sequence[TaskResult]) -> TaskResult:
+    """The temperature sweep's best functional result; the first one wins ties."""
+    return max(candidates, key=lambda candidate: candidate.num_functional_passes)
 
 
 class BenchmarkEvaluator:
-    """Run a pipeline over a suite and score it (job-based orchestration).
+    """Run a pipeline over a suite and score it in memory.
 
     Args:
         config: sampling/scoring plan.
@@ -388,184 +402,80 @@ class BenchmarkEvaluator:
         #: Only *settled* verdicts enter it — quarantined checks (transient
         #: infra faults that burned every attempt) are deliberately excluded,
         #: so they are re-attempted instead of permanently scored as failures.
-        self.memo: dict[ResultKey, TestbenchResult] = {}
+        self.memo: dict[ResultKey, CheckExecution] = {}
         #: Structured execution warnings (serial fallback, pool degradation)
         #: accumulated across ``evaluate`` calls; callers may drain this.
         self.warnings: list[dict] = []
 
-    def codegen_coverage(self) -> dict:
-        """Process-wide codegen adoption: fallback totals and per-design reasons.
-
-        Mirrors what ``GET /metrics`` exports — an empty ``designs`` map means
-        every design this process simulated ran on generated code.
-        """
-        from ..verilog import codegen
-
-        return codegen.fallback_stats()
-
-    # ------------------------------------------------------------------ public API
     def evaluate(self, pipeline: HaVenPipeline, suite: BenchmarkSuite) -> SuiteResult:
         """Evaluate ``pipeline`` on ``suite`` with the configured sampling plan."""
-        tasks = list(suite)
-        if self.config.max_tasks is not None:
-            tasks = tasks[: self.config.max_tasks]
-        if not self.config.memoize_results:
+        from ..runs.engine import check_samples
+
+        config = self.config
+        tasks = list(suite)[: config.max_tasks]
+        if not config.memoize_results:
             self.memo.clear()
-
-        # Phase 1+2: draw samples and syntax-check them (both deterministic and
-        # cheap relative to simulation), building one check request per unique
-        # compiled candidate not already in the memo.
-        plans: list[_TemperaturePlan] = []
-        pending: dict[ResultKey, CheckRequest] = {}
-        for task in tasks:
-            for temperature in self.config.temperatures:
-                plans.append(self._plan_temperature(pipeline, task, temperature, pending))
-
-        # Phase 3: execute the deduplicated checks (worker pool when
-        # configured) under the configured fault-tolerance policy.  Settled
-        # verdicts enter the cross-run memo; quarantined ones (transient infra
-        # faults, not candidate failures) stay local to this call, so the next
-        # evaluate() re-attempts them instead of replaying a synthetic failure.
-        quarantined: dict[ResultKey, TestbenchResult] = {}
-        if pending:
-            report = run_checks(
-                list(pending.values()),
-                max_workers=self.config.max_workers,
-                policy=ExecutionPolicy.from_config(self.config),
+        verdicts = iter(
+            check_samples(
+                pipeline,
+                [
+                    (task, temperature, range(config.num_samples))
+                    for task in tasks
+                    for temperature in config.temperatures
+                ],
+                config,
+                self.checker,
+                database=self.database,
+                memo=self.memo,
+                warning_sink=self._warn,
             )
-            for key, execution in report.executions.items():
-                if execution.quarantined:
-                    quarantined[key] = execution.result
-                else:
-                    self.memo[key] = execution.result
-            self.warnings.extend(report.warnings)
-            for key, execution in report.quarantined().items():
-                self.warnings.append(
-                    {
-                        "category": "quarantined",
-                        "message": (
-                            f"check for task {pending[key].task_id!r} quarantined "
-                            f"after {execution.attempts} attempt(s): {execution.error}"
-                        ),
-                        "detail": {
-                            "task_id": pending[key].task_id,
-                            "design_key": key.design_key,
-                            "attempts": execution.attempts,
-                            "error": execution.error,
-                        },
-                    }
-                )
+        )
 
-        # Phase 4: assemble per-task results, best temperature first.
-        result = SuiteResult(suite_name=suite.name, model_name=pipeline.name, ks=self.config.ks)
-        index = 0
+        result = SuiteResult(suite_name=suite.name, model_name=pipeline.name, ks=config.ks)
+        quarantined: dict[ResultKey, tuple[str, CheckExecution]] = {}
         for task in tasks:
-            best: TaskResult | None = None
-            for _ in self.config.temperatures:
-                candidate = self._assemble(plans[index], quarantined)
-                index += 1
-                if best is None or candidate.num_functional_passes > best.num_functional_passes:
-                    best = candidate
-            assert best is not None
-            result.task_results.append(best)
-        if not self.config.memoize_results:
+            candidates = []
+            for temperature in config.temperatures:
+                samples = next(verdicts)
+                poisoned = [
+                    sample
+                    for sample in samples
+                    if sample.execution is not None and sample.execution.quarantined
+                ]
+                for sample in poisoned:
+                    quarantined.setdefault(sample.key, (task.task_id, sample.execution))
+                candidates.append(
+                    assemble_task_result(
+                        task.task_id,
+                        task.category,
+                        temperature,
+                        [sample.outcome for sample in samples],
+                        num_quarantined=len(poisoned),
+                    )
+                )
+            result.task_results.append(best_temperature(candidates))
+
+        for key, (task_id, execution) in quarantined.items():
+            self._warn(
+                "quarantined",
+                f"check for task {task_id!r} quarantined "
+                f"after {execution.attempts} attempt(s): {execution.error}",
+                {
+                    "task_id": task_id,
+                    "design_key": key.design_key,
+                    "attempts": execution.attempts,
+                    "error": execution.error,
+                },
+            )
+        if not config.memoize_results:
             self.memo.clear()
         return result
 
-    # ------------------------------------------------------------------ planning
-    def _plan_temperature(
-        self,
-        pipeline: HaVenPipeline,
-        task: BenchmarkTask,
-        temperature: float,
-        pending: dict[ResultKey, CheckRequest],
-    ) -> _TemperaturePlan:
-        config = GenerationConfig(
-            temperature=temperature,
-            num_samples=self.config.num_samples,
-            seed=self.config.seed,
-        )
-        generation = pipeline.generate(
-            prompt=task.prompt,
-            interface=task.interface,
-            reference_source=task.reference_source,
-            demands=task.demands,
-            config=config,
-            prompt_style=task.prompt_style,
-            task_id=task.task_id,
-        )
-        stimulus, task_stimulus_key, task_mode_key = task_check_keys(
-            task, self.config, temperature
-        )
-
-        plan = _TemperaturePlan(
-            task=task,
-            temperature=temperature,
-            codes=[],
-            syntax_ok=[],
-            syntax_errors=[],
-            keys=[],
-        )
-        for sample in generation.samples:
-            plan.codes.append(sample.code)
-            compile_result = self.checker.check(sample.code)
-            plan.syntax_ok.append(compile_result.ok)
-            plan.syntax_errors.append(
-                "" if compile_result.ok else "; ".join(compile_result.error_messages[:1])
-            )
-            if not compile_result.ok:
-                plan.keys.append(None)
-                continue
-            key = ResultKey(
-                design_key=design_key(sample.code),
-                stimulus_key=task_stimulus_key,
-                mode=task_mode_key,
-            )
-            plan.keys.append(key)
-            if key not in self.memo and key not in pending:
-                pending[key] = check_request_for(
-                    task, sample.code, key, stimulus, self.config, database=self.database
-                )
-        return plan
-
-    # ------------------------------------------------------------------ assembly
-    def _assemble(
-        self,
-        plan: _TemperaturePlan,
-        quarantined: Mapping[ResultKey, TestbenchResult],
-    ) -> TaskResult:
-        functional_passes = 0
-        syntax_passes = 0
-        num_quarantined = 0
-        failures: list[str] = []
-        for index in range(len(plan.codes)):
-            if not plan.syntax_ok[index]:
-                if len(failures) < 3:
-                    failures.append(plan.syntax_errors[index])
-                continue
-            syntax_passes += 1
-            key = plan.keys[index]
-            assert key is not None
-            check = self.memo.get(key)
-            if check is None:
-                # Quarantined this call: counted as a non-pass, surfaced
-                # distinctly, and never memoized as a candidate failure.
-                check = quarantined[key]
-                num_quarantined += 1
-            if check.passed:
-                functional_passes += 1
-            elif len(failures) < 3:
-                failures.append(check.failure_summary)
-        return TaskResult(
-            task_id=plan.task.task_id,
-            category=plan.task.category,
-            num_samples=len(plan.codes),
-            num_functional_passes=functional_passes,
-            num_syntax_passes=syntax_passes,
-            temperature=plan.temperature,
-            failure_examples=failures,
-            num_quarantined=num_quarantined,
-        )
+    def _warn(self, category: str, message: str, detail: dict | None = None) -> None:
+        entry: dict = {"category": category, "message": message}
+        if detail:
+            entry["detail"] = detail
+        self.warnings.append(entry)
 
 
 def evaluate_models(

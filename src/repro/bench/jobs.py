@@ -91,7 +91,7 @@ def stimulus_key(
     disabled for differential runs).
     """
     reset_repr = (
-        (reset.signal, reset.active_low, reset.synchronous, reset.cycles)
+        (reset.signal, reset.active_low, reset.cycles)
         if reset is not None
         else None
     )

@@ -3,17 +3,18 @@
 The aggregator consumes journal records one at a time (``feed``) or wholesale
 from a store (``feed_store``) and can produce its outputs at any moment, so a
 report renders from a partially complete run and is simply re-rendered as more
-units land.  Reconstruction mirrors the in-memory evaluator exactly — same
-per-task counting, same capped failure examples in sample order, same
-best-temperature selection (first temperature wins ties) — so a fully
-journaled run aggregates bit-for-bit to what the monolithic drivers returned.
+units land.  Reconstruction shares the assembly with the in-memory evaluator
+(:func:`~repro.bench.evaluator.assemble_task_result` and
+:func:`~repro.bench.evaluator.best_temperature`: same per-task counting, same
+capped failure examples in sample order, first temperature wins ties), so a
+fully journaled run aggregates bit-for-bit to what the evaluator returns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..bench.evaluator import SuiteResult, TaskResult
+from ..bench.evaluator import SuiteResult, assemble_task_result, best_temperature
 from ..bench.jobs import CheckOutcome
 from ..bench.reporting import (
     AblationSeries,
@@ -25,10 +26,6 @@ from ..bench.reporting import (
 from .manifest import RunManifest
 from .resolve import ManifestResolver
 from .store import RunStore, outcome_from_record
-
-#: Maximum failure examples kept per task (mirrors the evaluator's cap).
-MAX_FAILURE_EXAMPLES = 3
-
 
 @dataclass
 class RunProgress:
@@ -135,51 +132,20 @@ class StreamingAggregator:
         )
         group = self._outcomes.get((profile_id, suite_id), {})
         for task in self.resolver.tasks(suite_spec):
-            per_task = group.get(task.task_id)
-            if not per_task:
-                continue
-            best: TaskResult | None = None
-            for temperature in self.manifest.config.temperatures:
-                per_temperature = per_task.get(float(temperature))
-                if not per_temperature:
-                    continue
-                candidate = self._assemble(task.task_id, task.category, temperature, per_temperature)
-                if best is None or candidate.num_functional_passes > best.num_functional_passes:
-                    best = candidate
-            if best is not None:
-                result.task_results.append(best)
+            per_task = group.get(task.task_id, {})
+            candidates = [
+                assemble_task_result(
+                    task.task_id,
+                    task.category,
+                    temperature,
+                    [outcomes[index] for index in sorted(outcomes)],
+                )
+                for temperature in self.manifest.config.temperatures
+                if (outcomes := per_task.get(float(temperature)))
+            ]
+            if candidates:
+                result.task_results.append(best_temperature(candidates))
         return result
-
-    @staticmethod
-    def _assemble(
-        task_id: str,
-        category: str,
-        temperature: float,
-        outcomes: dict[int, CheckOutcome],
-    ) -> TaskResult:
-        functional_passes = 0
-        syntax_passes = 0
-        failures: list[str] = []
-        for sample_index in sorted(outcomes):
-            outcome = outcomes[sample_index]
-            if not outcome.syntax_ok:
-                if len(failures) < MAX_FAILURE_EXAMPLES:
-                    failures.append(outcome.syntax_error)
-                continue
-            syntax_passes += 1
-            if outcome.functional_passed:
-                functional_passes += 1
-            elif len(failures) < MAX_FAILURE_EXAMPLES:
-                failures.append(outcome.failure_summary)
-        return TaskResult(
-            task_id=task_id,
-            category=category,
-            num_samples=len(outcomes),
-            num_functional_passes=functional_passes,
-            num_syntax_passes=syntax_passes,
-            temperature=temperature,
-            failure_examples=failures,
-        )
 
     # ------------------------------------------------------------------ experiment outputs
     def table4_rows(self) -> list[Table4Row]:

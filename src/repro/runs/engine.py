@@ -1,15 +1,20 @@
 """The run engine: execute a manifest's work units into a store, resumably.
 
-Execution is planned per ``(profile, suite)`` group.  For every task ×
-temperature with pending units, only the missing sample indices are drawn from
-the pipeline's deterministic sample stream (``generate_at`` — so a resumed or
-sharded run reproduces the serial samples bit-for-bit), syntax-checked, and the
-compiled candidates become content-addressed
+:func:`check_samples` is the one evaluation core: for each ``(task,
+temperature, sample indices)`` item it draws those samples from the pipeline's
+deterministic sample stream (``generate_at`` — so a resumed or sharded run
+reproduces the serial samples bit-for-bit), syntax-checks them, and turns the
+compiled candidates into content-addressed
 :class:`~repro.bench.jobs.CheckRequest`\\ s deduplicated by
 :class:`~repro.bench.jobs.ResultKey` and executed through
-:func:`~repro.bench.jobs.run_checks` (process pool when the manifest's
-``EvaluationConfig.max_workers`` says so).  Each finished unit is journaled as
-a :class:`~repro.bench.jobs.CheckOutcome`; units already journaled are never
+:func:`~repro.bench.jobs.run_checks` (process pool when
+``EvaluationConfig.max_workers`` says so).  The in-memory
+:class:`~repro.bench.evaluator.BenchmarkEvaluator` and :class:`RunEngine` both
+call it.
+
+The engine plans per ``(profile, suite)`` group, checks only the units not yet
+journaled, and journals each finished unit as a
+:class:`~repro.bench.jobs.CheckOutcome`; units already journaled are never
 re-executed, which is the whole resume story: kill the process at any point,
 re-invoke, and it continues where the journal ends.
 
@@ -22,9 +27,9 @@ same results as a serial run.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
-from ..bench.evaluator import check_request_for, task_check_keys
+from ..bench.evaluator import EvaluationConfig, check_request_for, task_check_keys
 from ..bench.jobs import (
     CheckExecution,
     CheckOutcome,
@@ -34,7 +39,9 @@ from ..bench.jobs import (
     design_key,
     run_checks,
 )
+from ..bench.task import BenchmarkTask
 from ..core.llm.base import GenerationConfig
+from ..core.pipeline import HaVenPipeline
 from ..verilog.syntax_checker import SyntaxChecker
 from .manifest import RunManifest, WorkUnit
 from .resolve import ManifestResolver
@@ -81,13 +88,120 @@ class UnitResult:
 WarningSink = Callable[[str, str, dict | None], object]
 
 
-@dataclass
-class _UnitPlan:
-    """One pending unit while its check is in flight."""
+class SampleVerdict(NamedTuple):
+    """One checked sample: its outcome, plus the check that settled it."""
 
-    unit: WorkUnit
     outcome: CheckOutcome
-    result_key: ResultKey | None  # None when the sample failed syntax
+    key: ResultKey | None  # None when the sample failed syntax
+    execution: CheckExecution | None  # None when the sample failed syntax
+
+
+#: One slice of the sample stream to check: (task, temperature, sample indices).
+SampleSlice = tuple[BenchmarkTask, float, Sequence[int]]
+
+
+def check_samples(
+    pipeline: HaVenPipeline,
+    work: Sequence[SampleSlice],
+    config: EvaluationConfig,
+    checker: SyntaxChecker,
+    *,
+    database=None,
+    memo: dict[ResultKey, CheckExecution] | None = None,
+    warning_sink: WarningSink | None = None,
+) -> list[list[SampleVerdict]]:
+    """Generate, syntax-check, dedup and functionally check ``work``.
+
+    Returns one list of :class:`SampleVerdict` per work item, in sample order.
+    Each unique :class:`ResultKey` not already in ``memo`` is checked once
+    through :func:`run_checks`; settled verdicts enter ``memo``, quarantined
+    ones (every attempt burned) never do — so a memo shared across calls
+    re-attempts them.  A quarantined sample's outcome carries the synthetic
+    failed verdict.  Execution warnings go to ``warning_sink`` as
+    ``(category, message, detail)``.
+    """
+    memo = {} if memo is None else memo
+    planned: list[list[tuple[CheckOutcome, ResultKey | None]]] = []
+    requests: dict[ResultKey, CheckRequest] = {}
+    for task, temperature, indices in work:
+        indices = list(indices)
+        generation = pipeline.generate(
+            prompt=task.prompt,
+            interface=task.interface,
+            reference_source=task.reference_source,
+            demands=task.demands,
+            config=GenerationConfig(
+                temperature=temperature,
+                num_samples=config.num_samples,
+                seed=config.seed,
+            ),
+            prompt_style=task.prompt_style,
+            task_id=task.task_id,
+            # The whole stream in one draw: backends without a per-index
+            # ``generate_at`` would otherwise redraw a prefix per sample.
+            sample_indices=None if indices == list(range(config.num_samples)) else indices,
+        )
+        stimulus, task_stimulus_key, task_mode_key = task_check_keys(task, config, temperature)
+        samples: list[tuple[CheckOutcome, ResultKey | None]] = []
+        for index, sample in zip(indices, generation.samples):
+            compile_result = checker.check(sample.code)
+            outcome = CheckOutcome(
+                sample_index=index,
+                temperature=temperature,
+                syntax_ok=compile_result.ok,
+                syntax_error=(
+                    "" if compile_result.ok else "; ".join(compile_result.error_messages[:1])
+                ),
+                design_key=design_key(sample.code),
+            )
+            key = None
+            if compile_result.ok:
+                key = ResultKey(
+                    design_key=outcome.design_key,
+                    stimulus_key=task_stimulus_key,
+                    mode=task_mode_key,
+                )
+                if key not in memo and key not in requests:
+                    requests[key] = check_request_for(
+                        task, sample.code, key, stimulus, config, database=database
+                    )
+            samples.append((outcome, key))
+        planned.append(samples)
+
+    fresh: dict[ResultKey, CheckExecution] = {}
+    if requests:
+        report = run_checks(
+            list(requests.values()),
+            max_workers=config.max_workers,
+            policy=ExecutionPolicy.from_config(config),
+        )
+        fresh = report.executions
+        memo.update(
+            (key, execution) for key, execution in fresh.items() if not execution.quarantined
+        )
+        if warning_sink is not None:
+            for warning in report.warnings:
+                warning_sink(warning["category"], warning["message"], warning.get("detail"))
+
+    verdicts: list[list[SampleVerdict]] = []
+    for samples in planned:
+        item: list[SampleVerdict] = []
+        for outcome, key in samples:
+            execution = None
+            if key is not None:
+                execution = memo[key] if key in memo else fresh[key]
+                result = execution.result
+                outcome.functional_passed = result.passed
+                outcome.failure_summary = result.failure_summary
+                outcome.total_checks = result.total_checks
+                outcome.attempts = execution.attempts
+                outcome.degradation = list(execution.degradation)
+                outcome.duration_s = execution.duration_s
+                if getattr(result, "proof_stats", None):
+                    outcome.proof_stats = dict(result.proof_stats)
+            item.append(SampleVerdict(outcome, key, execution))
+        verdicts.append(item)
+    return verdicts
 
 
 class RunEngine:
@@ -183,103 +297,32 @@ class RunEngine:
             group = groups.setdefault((unit.profile_id, unit.suite_id), {})
             group.setdefault((unit.task_id, unit.temperature), []).append(unit)
 
-        config = self.manifest.config
         results: list[UnitResult] = []
         for (profile_id, suite_id), task_units in groups.items():
-            pipeline = self.resolver.pipeline(profile_id)
             suite_spec = next(s for s in self.manifest.suites if s.suite_id == suite_id)
             tasks = {task.task_id: task for task in self.resolver.tasks(suite_spec)}
-
-            plans: list[_UnitPlan] = []
-            requests: dict[ResultKey, CheckRequest] = {}
-            for (task_id, temperature), unit_list in task_units.items():
-                task = tasks[task_id]
-                indices = [unit.sample_index for unit in unit_list]
-                generation = pipeline.generate(
-                    prompt=task.prompt,
-                    interface=task.interface,
-                    reference_source=task.reference_source,
-                    demands=task.demands,
-                    config=GenerationConfig(
-                        temperature=temperature,
-                        num_samples=config.num_samples,
-                        seed=config.seed,
-                    ),
-                    prompt_style=task.prompt_style,
-                    task_id=task.task_id,
-                    sample_indices=indices,
-                )
-                stimulus, task_stimulus_key, task_mode_key = task_check_keys(
-                    task, config, temperature
-                )
-                for unit, sample in zip(unit_list, generation.samples):
-                    compile_result = self.checker.check(sample.code)
-                    outcome = CheckOutcome(
-                        sample_index=unit.sample_index,
-                        temperature=temperature,
-                        syntax_ok=compile_result.ok,
-                        syntax_error=(
-                            ""
-                            if compile_result.ok
-                            else "; ".join(compile_result.error_messages[:1])
-                        ),
-                        design_key=design_key(sample.code),
-                    )
-                    if not compile_result.ok:
-                        plans.append(_UnitPlan(unit=unit, outcome=outcome, result_key=None))
-                        continue
-                    key = ResultKey(
-                        design_key=outcome.design_key,
-                        stimulus_key=task_stimulus_key,
-                        mode=task_mode_key,
-                    )
-                    plans.append(_UnitPlan(unit=unit, outcome=outcome, result_key=key))
-                    if key not in requests:
-                        requests[key] = check_request_for(
-                            task, sample.code, key, stimulus, config
+            verdicts = check_samples(
+                self.resolver.pipeline(profile_id),
+                [
+                    (tasks[task_id], temperature, [unit.sample_index for unit in unit_list])
+                    for (task_id, temperature), unit_list in task_units.items()
+                ],
+                self.manifest.config,
+                self.checker,
+                warning_sink=warning_sink,
+            )
+            for unit_list, samples in zip(task_units.values(), verdicts):
+                for unit, sample in zip(unit_list, samples):
+                    execution = sample.execution
+                    if execution is not None and execution.quarantined:
+                        quarantine = QuarantineInfo(
+                            attempts=execution.attempts,
+                            error=execution.error,
+                            degradation=tuple(execution.degradation),
                         )
-
-            memo: dict[ResultKey, CheckExecution] = {}
-            if requests:
-                report = run_checks(
-                    list(requests.values()),
-                    max_workers=config.max_workers,
-                    policy=ExecutionPolicy.from_config(config),
-                )
-                memo = report.executions
-                if warning_sink is not None:
-                    for warning in report.warnings:
-                        warning_sink(
-                            warning["category"],
-                            warning["message"],
-                            warning.get("detail"),
-                        )
-
-            for plan in plans:
-                if plan.result_key is not None:
-                    execution = memo[plan.result_key]
-                    if execution.quarantined:
-                        results.append(
-                            UnitResult(
-                                unit=plan.unit,
-                                quarantine=QuarantineInfo(
-                                    attempts=execution.attempts,
-                                    error=execution.error,
-                                    degradation=tuple(execution.degradation),
-                                ),
-                            )
-                        )
-                        continue
-                    result = execution.result
-                    plan.outcome.functional_passed = result.passed
-                    plan.outcome.failure_summary = result.failure_summary
-                    plan.outcome.total_checks = result.total_checks
-                    plan.outcome.attempts = execution.attempts
-                    plan.outcome.degradation = list(execution.degradation)
-                    plan.outcome.duration_s = execution.duration_s
-                    if getattr(result, "proof_stats", None):
-                        plan.outcome.proof_stats = dict(result.proof_stats)
-                results.append(UnitResult(unit=plan.unit, outcome=plan.outcome))
+                        results.append(UnitResult(unit=unit, quarantine=quarantine))
+                    else:
+                        results.append(UnitResult(unit=unit, outcome=sample.outcome))
         return results
 
     # ------------------------------------------------------------------ status

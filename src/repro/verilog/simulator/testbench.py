@@ -58,7 +58,6 @@ class ResetSpec:
 
     signal: str = "rst"
     active_low: bool = False
-    synchronous: bool = True
     cycles: int = 2
 
 
@@ -227,12 +226,11 @@ class TestbenchRunner:
         active = 0 if self.reset.active_low else 1
         inactive = 1 - active
         simulator.apply_inputs({self.reset.signal: active})
-        if self.reset.synchronous or True:
-            # Hold reset active across a few clock edges so both synchronous and
-            # asynchronous implementations observe it.
-            for _ in range(self.reset.cycles):
-                simulator.apply_inputs({self.clock: 1})
-                simulator.apply_inputs({self.clock: 0})
+        # Hold reset active across a few clock edges so both synchronous and
+        # asynchronous implementations observe it.
+        for _ in range(self.reset.cycles):
+            simulator.apply_inputs({self.clock: 1})
+            simulator.apply_inputs({self.clock: 0})
         simulator.apply_inputs({self.reset.signal: inactive})
         golden.reset()
 

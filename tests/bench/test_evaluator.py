@@ -9,6 +9,7 @@ from repro.core.llm.base import GenerationConfig, GenerationContext, GeneratedSa
 from repro.core.llm.profiles import BASELINE_PROFILES
 from repro.core.llm.simulated import SimulatedCodeGenLLM
 from repro.core.pipeline import HaVenPipeline
+from repro.verilog import codegen
 
 
 class PerfectBackend(LLMBackend):
@@ -170,10 +171,27 @@ class TestEvaluator:
             assert fast_task.num_functional_passes == slow_task.num_functional_passes
             assert fast_task.num_syntax_passes == slow_task.num_syntax_passes
 
+    def test_generate_only_backend_draws_once_per_task_temperature(self, tiny_human_suite):
+        """A backend without ``generate_at`` is asked for the whole stream at once."""
+
+        class CountingBackend(PerfectBackend):
+            calls = 0
+
+            def generate(self, context, config):
+                CountingBackend.calls += 1
+                return super().generate(context, config)
+
+        config = EvaluationConfig(num_samples=3, ks=(1,), temperatures=(0.2, 0.5))
+        result = BenchmarkEvaluator(config).evaluate(
+            HaVenPipeline(CountingBackend(), use_sicot=False), tiny_human_suite
+        )
+        assert CountingBackend.calls == len(tiny_human_suite) * 2
+        assert all(task_result.num_samples == 3 for task_result in result.task_results)
+
     def test_codegen_coverage_snapshot(self, tiny_human_suite, config):
         evaluator = BenchmarkEvaluator(config)
         evaluator.evaluate(HaVenPipeline(PerfectBackend(), use_sicot=False), tiny_human_suite)
-        coverage = evaluator.codegen_coverage()
+        coverage = codegen.fallback_stats()
         assert set(coverage) == {"total", "reasons", "designs"}
         assert coverage["total"] == sum(coverage["reasons"].values())
 

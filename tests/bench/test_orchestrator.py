@@ -14,7 +14,7 @@ from functools import partial
 
 import pytest
 
-import repro.bench.evaluator as evaluator_module
+import repro.runs.engine as engine_module
 from repro.bench.evaluator import BenchmarkEvaluator, EvaluationConfig
 from repro.bench.golden import VectorFunctionGolden, random_vectors
 from repro.bench.jobs import (
@@ -129,13 +129,13 @@ class TestMemoisation:
     def _counting_evaluate(self, monkeypatch, config, pipeline, suite):
         """Run an evaluation while counting the check requests actually executed."""
         executed: list[int] = []
-        real_run_checks = evaluator_module.run_checks
+        real_run_checks = engine_module.run_checks
 
         def counting(requests, max_workers=1, **kwargs):
             executed.append(len(requests))
             return real_run_checks(requests, max_workers=max_workers, **kwargs)
 
-        monkeypatch.setattr(evaluator_module, "run_checks", counting)
+        monkeypatch.setattr(engine_module, "run_checks", counting)
         evaluator = BenchmarkEvaluator(config)
         first = evaluator.evaluate(pipeline, suite)
         first_executed = sum(executed)

@@ -362,6 +362,13 @@ class TestEvaluatorQuarantine:
         by_task = {result.task_id: result for result in poisoned.task_results}
         assert by_task["chaos_xor"].num_quarantined == 1
         assert by_task["chaos_xor"].num_functional_passes == 0
+        # The quarantined sample still counts as a sample (a non-pass), and
+        # its synthetic verdict is the task's failure example.
+        assert by_task["chaos_xor"].num_samples == 1
+        assert by_task["chaos_xor"].failure_examples == [
+            "simulation error: quarantined after 1 attempt(s): "
+            "injected fault on task 'chaos_xor' (attempt 1)"
+        ]
         assert any(w["category"] == "quarantined" for w in evaluator.warnings)
         # The synthetic failed verdict stays out of the cross-run memo...
         xor_key = _sample_design_key("chaos_xor", 0)

@@ -1,9 +1,12 @@
-"""Bit-for-bit parity: the run engine vs the old monolithic in-memory path.
+"""Bit-for-bit parity: a manifest-driven run vs the evaluator on live objects.
 
-The pre-refactor ``run_table4``/``run_table6`` logic (shared
-``BenchmarkEvaluator`` over the built suites) is replicated inline here as the
-oracle; the refactored drivers must reproduce it exactly — including the
-per-task sample/pass counts and the capped failure-example strings.
+The run engine and ``BenchmarkEvaluator`` share one check core
+(:func:`repro.runs.engine.check_samples`) and one per-task assembly, so this
+no longer keeps two orchestrators in step.  It guards manifest resolution: the
+suites, pipelines and configs a ``RunManifest`` resolves to must score exactly
+like the ones the in-memory driver (replicated inline as the oracle) builds
+directly — including the per-task sample/pass counts and the capped
+failure-example strings.
 """
 
 from __future__ import annotations
