@@ -587,7 +587,7 @@ def bench_compile_cache(repeat: int = 3) -> dict[str, float]:
         {"a": rng.randrange(256), "b": rng.randrange(256), "op": rng.randrange(4)}
         for _ in range(COMPILE_CACHE_STIMULI)
     ]
-    mode = mode_key("simulation", True, False, None)
+    mode = mode_key("simulation", None)
 
     def requests_for(salted: bool) -> list:
         requests = []

@@ -29,6 +29,7 @@ best-temperature selection (:func:`assemble_task_result`,
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from ..core.pipeline import HaVenPipeline
@@ -49,6 +50,22 @@ from .task import BenchmarkSuite, BenchmarkTask
 MAX_FAILURE_EXAMPLES = 3
 
 
+#: Engine-selection keys that configs once carried, frozen at the only values
+#: the one check engine honours.  ``to_dict`` still emits them so a manifest
+#: planned before they were retired keeps its exact ``manifest_hash`` (the
+#: broker ``run_id`` and the root of every journaled unit key); ``from_dict``
+#: rejects a payload that asks for any other engine.
+RETIRED_ENGINE_KEYS: Mapping[str, object] = MappingProxyType(
+    {
+        "use_batch_simulator": True,
+        "differential_oracle": False,
+        "simulator_backend": "auto",
+        "formal_incremental": True,
+        "induction_depth": 4,
+    }
+)
+
+
 @dataclass
 class EvaluationConfig:
     """How a suite evaluation is run."""
@@ -59,15 +76,6 @@ class EvaluationConfig:
     seed: int = 0
     stimulus_seed: int = 1234
     max_tasks: int | None = None
-    #: Batch combinational functional checks into one column-parallel pass
-    #: (sequential designs always keep the cycle-serial scalar oracle).
-    use_batch_simulator: bool = True
-    #: Re-check every batched run against the scalar oracle (slow; CI use).
-    differential_oracle: bool = False
-    #: Batched-runner execution engine: ``auto`` compiles designs to
-    #: straight-line Python and falls back to the AST interpreter per design,
-    #: ``codegen`` requires generated code, ``interpret`` pins the interpreter.
-    simulator_backend: str = "auto"
     #: ``"simulation"`` scores with stimulus sweeps; ``"formal"`` upgrades
     #: combinational tasks to complete SAT equivalence proofs against the
     #: reference design (sequential tasks and unprovable constructs fall back
@@ -78,22 +86,13 @@ class EvaluationConfig:
     #: The budget is charged *per proof* even on the shared incremental
     #: session — every candidate of a sweep gets the full limit.
     formal_conflict_limit: int | None = 50_000
-    #: Prove combinational formal checks on a persistent per-worker
-    #: :class:`~repro.formal.incremental.EquivalenceSession` (one solver per
-    #: reference design across the sweep).  Verdict-identical to the
-    #: fresh-solver prover, just faster.
-    formal_incremental: bool = True
-    #: k-induction depth for sequential tasks in formal mode — unbounded
-    #: equivalence proofs instead of a silent simulation fallback.  ``0``
-    #: disables induction (every sequential task simulates, as before).
-    induction_depth: int = 4
     #: Worker processes for functional checks (1 = serial in-process).  Checks
     #: whose golden factories cannot be pickled, and any pool failure, fall
     #: back to serial execution automatically.
     max_workers: int = 1
     #: Memoise check verdicts by ``(design, stimulus, mode)`` across samples,
     #: temperatures and ``evaluate`` calls.  Disable to force every check cold
-    #: (the differential-testing and benchmark-baseline configuration).
+    #: (the cold-reference and benchmark-baseline configuration).
     memoize_results: bool = True
     #: Wall-clock budget per functional-check attempt (None = no deadline).
     #: Cooperative: the simulators and the SAT search tick the deadline; pool
@@ -119,23 +118,25 @@ class EvaluationConfig:
             "seed": self.seed,
             "stimulus_seed": self.stimulus_seed,
             "max_tasks": self.max_tasks,
-            "use_batch_simulator": self.use_batch_simulator,
-            "differential_oracle": self.differential_oracle,
-            "simulator_backend": self.simulator_backend,
             "mode": self.mode,
             "formal_conflict_limit": self.formal_conflict_limit,
-            "formal_incremental": self.formal_incremental,
-            "induction_depth": self.induction_depth,
             "max_workers": self.max_workers,
             "memoize_results": self.memoize_results,
             "check_timeout_s": self.check_timeout_s,
             "max_attempts": self.max_attempts,
             "retry_backoff_s": self.retry_backoff_s,
             "retry_backoff_cap_s": self.retry_backoff_cap_s,
+            **RETIRED_ENGINE_KEYS,
         }
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "EvaluationConfig":
+        for name, frozen in RETIRED_ENGINE_KEYS.items():
+            if name in payload and payload[name] != frozen:
+                raise ValueError(
+                    f"config key {name!r} is retired: only {frozen!r} is supported, "
+                    f"got {payload[name]!r}"
+                )
         return cls(
             num_samples=int(payload["num_samples"]),
             ks=tuple(int(k) for k in payload["ks"]),
@@ -143,13 +144,8 @@ class EvaluationConfig:
             seed=int(payload.get("seed", 0)),
             stimulus_seed=int(payload.get("stimulus_seed", 1234)),
             max_tasks=payload.get("max_tasks"),
-            use_batch_simulator=bool(payload.get("use_batch_simulator", True)),
-            differential_oracle=bool(payload.get("differential_oracle", False)),
-            simulator_backend=str(payload.get("simulator_backend", "auto")),
             mode=str(payload.get("mode", "simulation")),
             formal_conflict_limit=payload.get("formal_conflict_limit"),
-            formal_incremental=bool(payload.get("formal_incremental", True)),
-            induction_depth=int(payload.get("induction_depth", 4)),
             max_workers=int(payload.get("max_workers", 1)),
             memoize_results=bool(payload.get("memoize_results", True)),
             check_timeout_s=(
@@ -295,15 +291,7 @@ def task_check_keys(
         reference_source=task.reference_source,
         salt=salt,
     )
-    task_mode_key = mode_key(
-        config.mode,
-        config.use_batch_simulator,
-        config.differential_oracle,
-        config.formal_conflict_limit,
-        backend=config.simulator_backend,
-        formal_incremental=config.formal_incremental,
-        induction_depth=config.induction_depth,
-    )
+    task_mode_key = mode_key(config.mode, config.formal_conflict_limit)
     return stimulus, task_stimulus_key, task_mode_key
 
 
@@ -327,12 +315,7 @@ def check_request_for(
         clock=task.clock,
         reset=task.reset,
         mode=config.mode,
-        use_batch=config.use_batch_simulator,
-        differential=config.differential_oracle,
-        backend=config.simulator_backend,
         formal_conflict_limit=config.formal_conflict_limit,
-        formal_incremental=config.formal_incremental,
-        induction_depth=config.induction_depth,
         database=database,
         timeout_s=config.check_timeout_s,
     )
@@ -500,24 +483,22 @@ def check_reference_designs(
     suite: BenchmarkSuite,
     stimulus_seed: int = 1234,
     max_tasks: int | None = None,
-    use_batch: bool = True,
-    differential: bool = False,
-    backend: str = "auto",
 ) -> dict[str, str]:
     """Check every task's golden Verilog reference against its Python golden model.
 
     This is the suite self-consistency sweep the benchmark builders expose
     (``verilogeval.validate_references`` etc.): the reference design must pass
     its own functional testbench.  Combinational tasks run column-parallel via
-    :class:`BatchTestbenchRunner`; pass ``differential=True`` to re-check every
-    batched run against the scalar oracle.  Reference designs and golden
-    models are cached (design database + :class:`~repro.bench.golden.GoldenCache`),
-    so repeated sweeps stop rebuilding them.
+    :class:`BatchTestbenchRunner` with the differential oracle on, so every
+    batched run is re-checked against the scalar runner.  Reference designs
+    and golden models are cached (design database +
+    :class:`~repro.bench.golden.GoldenCache`), so repeated sweeps stop
+    rebuilding them.
 
     Returns:
         task_id → failure summary for every failing task (empty == all passed).
     """
-    from ..verilog.simulator.testbench import BatchTestbenchRunner, TestbenchRunner
+    from ..verilog.simulator.testbench import BatchTestbenchRunner
 
     goldens = GoldenCache()
     failures: dict[str, str] = {}
@@ -525,12 +506,7 @@ def check_reference_designs(
     if max_tasks is not None:
         tasks = tasks[:max_tasks]
     for task in tasks:
-        if use_batch:
-            runner: TestbenchRunner = BatchTestbenchRunner(
-                clock=task.clock, reset=task.reset, differential=differential, backend=backend
-            )
-        else:
-            runner = TestbenchRunner(clock=task.clock, reset=task.reset)
+        runner = BatchTestbenchRunner(clock=task.clock, reset=task.reset, differential=True)
         result = runner.run(
             task.reference_source,
             goldens.get(task),

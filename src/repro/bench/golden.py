@@ -576,7 +576,6 @@ def batch_equivalence_mismatches(
     outputs: Sequence[str] | None = None,
     module_name: str | None = None,
     reference_module_name: str | None = None,
-    backend: str = "auto",
 ) -> list[LaneMismatch]:
     """Batched combinational equivalence sweep with structured counterexamples.
 
@@ -585,8 +584,6 @@ def batch_equivalence_mismatches(
     mismatching vector, ordered by lane (empty list == equivalent on the
     sweep).  An output that is ``x``/``z`` in the *reference* constrains
     nothing; an ``x``/``z`` DUT output mismatches any defined reference value.
-    ``backend`` selects the :class:`BatchSimulator` execution engine for both
-    sides (SAT counterexample replay rides the default ``auto``).
     """
     from ..verilog.simulator.batch import BatchSimulator
 
@@ -596,11 +593,9 @@ def batch_equivalence_mismatches(
     if any(set(vector) != names for vector in input_vectors):
         raise ValueError("equivalence sweeps require a consistent input-name set")
     lanes = len(input_vectors)
-    dut = BatchSimulator.from_source(
-        dut_source, lanes=lanes, module_name=module_name, backend=backend
-    )
+    dut = BatchSimulator.from_source(dut_source, lanes=lanes, module_name=module_name)
     reference = BatchSimulator.from_source(
-        reference_source, lanes=lanes, module_name=reference_module_name, backend=backend
+        reference_source, lanes=lanes, module_name=reference_module_name
     )
     inputs = {name: [vector[name] for vector in input_vectors] for name in names}
     dut.apply_inputs(inputs)
@@ -646,7 +641,6 @@ def batch_equivalence_check(
     outputs: Sequence[str] | None = None,
     module_name: str | None = None,
     reference_module_name: str | None = None,
-    backend: str = "auto",
 ) -> list[int]:
     """Index-list view of :func:`batch_equivalence_mismatches` (legacy API).
 
@@ -663,7 +657,6 @@ def batch_equivalence_check(
             outputs=outputs,
             module_name=module_name,
             reference_module_name=reference_module_name,
-            backend=backend,
         )
     ]
 

@@ -88,7 +88,7 @@ def stimulus_key(
     content-addressed fingerprint of the expected behaviour.  The
     stimulus/outputs/clock/reset pin the testbench.  ``salt`` lets a caller
     deliberately split the memo (e.g. per temperature when memoisation is
-    disabled for differential runs).
+    disabled for cold baseline runs).
     """
     reset_repr = (
         (reset.signal, reset.active_low, reset.cycles)
@@ -109,36 +109,16 @@ def stimulus_key(
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def mode_key(
-    mode: str,
-    use_batch: bool,
-    differential: bool,
-    formal_conflict_limit: int | None,
-    backend: str = "auto",
-    formal_incremental: bool = True,
-    induction_depth: int = 4,
-) -> str:
+def mode_key(mode: str, formal_conflict_limit: int | None) -> str:
     """Scoring-mode component of a :class:`ResultKey`.
 
-    A pinned simulator backend is part of the key (a verdict scored under
-    ``interpret`` must not satisfy a ``codegen`` request); the default ``auto``
-    is left out so existing durable result stores keep their keys.  The same
-    rule covers the formal-engine knobs: the incremental session is verdict-
-    identical to the one-shot prover so ``formal_incremental`` only enters the
-    key when disabled, and ``induction_depth`` only at non-default values
-    (k-induction at the default depth replaced a simulation fallback, which
-    never produced a *formal-mode pass* for those tasks before — stored passes
-    stay valid).
+    Every check runs the one production engine, so the key names only the
+    scoring mode and, for formal mode, the per-proof conflict budget.  The
+    ``batch=True|diff=False`` suffix is frozen from the days when the engine
+    was selectable: durable result stores index by these exact strings.
     """
-    engine = "" if backend == "auto" else f"|engine={backend}"
-    if mode == "formal":
-        incremental = "" if formal_incremental else "|inc=False"
-        induction = "" if induction_depth == 4 else f"|induction={induction_depth}"
-        return (
-            f"formal:{formal_conflict_limit}|batch={use_batch}"
-            f"|diff={differential}{engine}{incremental}{induction}"
-        )
-    return f"simulation|batch={use_batch}|diff={differential}{engine}"
+    prefix = f"formal:{formal_conflict_limit}" if mode == "formal" else "simulation"
+    return f"{prefix}|batch=True|diff=False"
 
 
 # --------------------------------------------------------------------------- requests
@@ -156,21 +136,12 @@ class CheckRequest:
     clock: str = "clk"
     reset: ResetSpec | None = None
     mode: str = "simulation"
+    #: Combinational checks run column-parallel on the batched runner
+    #: (generated code, interpreter fallback per design).  Only the executor
+    #: clears it, when it degrades a failed attempt to the scalar runner.
     use_batch: bool = True
-    differential: bool = False
-    #: Execution engine for the batched runner: ``auto`` (generated code with
-    #: interpreter fallback), ``codegen`` or ``interpret``.
-    backend: str = "auto"
+    #: Per-proof SAT conflict budget in formal mode (None = unbounded).
     formal_conflict_limit: int | None = 50_000
-    #: Formal mode proves candidates on a per-worker persistent
-    #: :class:`~repro.formal.incremental.EquivalenceSession` (one solver per
-    #: reference design, shared across the sweep).  ``False`` restores the
-    #: fresh-solver-per-candidate prover; verdicts are identical either way.
-    formal_incremental: bool = True
-    #: k-induction depth for sequential tasks under formal mode (unbounded
-    #: proofs; inconclusive inductions fall back to simulation).  ``0``
-    #: restores the old behaviour of simulating every sequential task.
-    induction_depth: int = 4
     #: Optional :class:`~repro.verilog.design.DesignDatabase` for the runners
     #: (None → process-wide default).  A database does not pickle, so setting
     #: one pins the request to in-parent execution — exactly where the
@@ -262,6 +233,9 @@ class CheckOutcome:
         )
 
 
+#: k-induction depth of every sequential formal-mode proof.
+INDUCTION_DEPTH = 4
+
 #: Per-process golden cache for check execution (each pool worker process gets
 #: its own copy via fork/spawn, so models never cross process boundaries).
 _worker_goldens = GoldenCache()
@@ -330,11 +304,7 @@ def execute_check(request: CheckRequest) -> tuple[ResultKey, TestbenchResult]:
                 return request.key, formal
         if request.use_batch:
             runner: TestbenchRunner = BatchTestbenchRunner(
-                clock=request.clock,
-                reset=request.reset,
-                differential=request.differential,
-                database=request.database,
-                backend=request.backend,
+                clock=request.clock, reset=request.reset, database=request.database
             )
         else:
             runner = TestbenchRunner(
@@ -380,19 +350,16 @@ def _formal_check(request: CheckRequest, golden) -> TestbenchResult | None:
     """Complete SAT equivalence proof against the task's reference design.
 
     Combinational tasks are proven on the worker's persistent
-    :class:`EquivalenceSession` (unless ``request.formal_incremental`` is off);
-    sequential tasks get an **unbounded** k-induction proof at
-    ``request.induction_depth``.  Returns ``None`` (→ simulation fallback) for
-    designs outside the provable subset, inconclusive inductions, or an
-    exhausted SAT conflict budget.
+    :class:`EquivalenceSession`; sequential tasks get an **unbounded**
+    k-induction proof at :data:`INDUCTION_DEPTH`.  Returns ``None`` (→
+    simulation fallback) for designs outside the provable subset,
+    inconclusive inductions, or an exhausted SAT conflict budget.
     """
     from ..formal import ConflictLimitExceeded, FormalEncodingError, FormalError
     from ..verilog.errors import VerilogError
     from .golden import formal_equivalence_check
 
     sequential = bool(getattr(golden, "is_sequential", False))
-    if sequential and request.induction_depth < 1:
-        return None
     try:
         if sequential:
             reset = request.reset
@@ -404,16 +371,15 @@ def _formal_check(request: CheckRequest, golden) -> TestbenchResult | None:
                 reset=reset.signal if reset is not None else None,
                 reset_active_low=bool(reset.active_low) if reset is not None else False,
                 conflict_limit=request.formal_conflict_limit,
-                induction_depth=request.induction_depth,
+                induction_depth=INDUCTION_DEPTH,
             )
         else:
-            session = _session_for(request) if request.formal_incremental else None
             proof = formal_equivalence_check(
                 request.code,
                 request.reference_source,
                 outputs=request.check_outputs,
                 conflict_limit=request.formal_conflict_limit,
-                session=session,
+                session=_session_for(request),
             )
     except (FormalEncodingError, ConflictLimitExceeded):
         return None  # outside the provable subset / budget: simulate instead

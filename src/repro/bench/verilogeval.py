@@ -192,34 +192,24 @@ def validate_references(
     config: SuiteConfig | None = None,
     splits: tuple[str, ...] = ("machine", "human"),
     max_tasks: int | None = None,
-    use_batch: bool = True,
-    differential: bool = False,
 ) -> dict[str, str]:
     """Self-consistency sweep: every reference design must pass its own testbench.
 
     Combinational references are checked in one column-parallel batched pass per
-    task (see :mod:`repro.verilog.simulator.batch`); sequential references keep
-    the scalar cycle-serial oracle.  Returns task_id → failure summary.
+    task, re-checked against the scalar runner (see
+    :func:`~repro.bench.evaluator.check_reference_designs`); sequential
+    references run on the scalar cycle-serial runner.  Returns task_id →
+    failure summary.
     """
     from .evaluator import check_reference_designs
 
     failures: dict[str, str] = {}
     if "machine" in splits:
         failures.update(
-            check_reference_designs(
-                build_verilogeval_machine(config),
-                max_tasks=max_tasks,
-                use_batch=use_batch,
-                differential=differential,
-            )
+            check_reference_designs(build_verilogeval_machine(config), max_tasks=max_tasks)
         )
     if "human" in splits:
         failures.update(
-            check_reference_designs(
-                build_verilogeval_human(config),
-                max_tasks=max_tasks,
-                use_batch=use_batch,
-                differential=differential,
-            )
+            check_reference_designs(build_verilogeval_human(config), max_tasks=max_tasks)
         )
     return failures

@@ -80,18 +80,11 @@ def build_verilogeval_v2(config: V2Config | None = None) -> BenchmarkSuite:
 def validate_references(
     config: V2Config | None = None,
     max_tasks: int | None = None,
-    use_batch: bool = True,
-    differential: bool = False,
 ) -> dict[str, str]:
     """Self-consistency sweep over the v2 suite (batched where combinational)."""
     from .evaluator import check_reference_designs
 
-    return check_reference_designs(
-        build_verilogeval_v2(config),
-        max_tasks=max_tasks,
-        use_batch=use_batch,
-        differential=differential,
-    )
+    return check_reference_designs(build_verilogeval_v2(config), max_tasks=max_tasks)
 
 
 __all__ = ["V2Config", "build_verilogeval_v2", "validate_references", "SuiteConfig"]

@@ -64,9 +64,10 @@ from .simulator.simulator import ElaboratedModule, PortInfo, elaborate_module
 
 #: Bump when the pickled on-disk layout changes; stale entries are recompiled.
 #: The version is embedded in the on-disk *file name* (see ``_disk_path``), so
-#: a layout change — like v2's codegen artifact — invalidates old entries by
-#: key rather than surfacing as unpickle errors or silently missing fields.
-DISK_FORMAT_VERSION = 2
+#: a layout change — like v2's codegen artifact, or v3's wire initialisers
+#: elaborated as continuous assigns — invalidates old entries by key rather
+#: than surfacing as unpickle errors or silently missing fields.
+DISK_FORMAT_VERSION = 3
 
 #: Conventional clock/reset input names used by the inference analyses (the
 #: same conventions :mod:`repro.verilog.analyzer` and the bench families use).

@@ -20,8 +20,7 @@ from .errors import ParseError
 from .lexer import tokenize
 from .tokens import Token, TokenKind
 
-# Binary operator precedence, lowest first.  Each level is left-associative
-# except ``**`` which is handled right-associatively in ``_parse_binary``.
+# Binary operator precedence, lowest first.  Every level is left-associative.
 _BINARY_PRECEDENCE: list[tuple[str, ...]] = [
     ("||",),
     ("&&",),
@@ -36,7 +35,17 @@ _BINARY_PRECEDENCE: list[tuple[str, ...]] = [
     ("**",),
 ]
 
+#: Binary operator → its level in :data:`_BINARY_PRECEDENCE`.
+_BINARY_LEVEL = {op: level for level, ops in enumerate(_BINARY_PRECEDENCE) for op in ops}
+
 _UNARY_OPERATORS = {"+", "-", "!", "~", "&", "|", "^", "~&", "~|", "~^", "^~"}
+
+#: Deepest nesting the parser accepts.  Each nested sub-expression, statement,
+#: unary operator and binary-operator application is one level: every level
+#: costs Python frames here and in each recursive AST walker downstream
+#: (checker, simulators, code generator, formal encoder), so hostile input
+#: ends as a :class:`ParseError` instead of a ``RecursionError``.
+MAX_NESTING_DEPTH = 128
 
 
 class Parser:
@@ -45,6 +54,9 @@ class Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.index = 0
+        #: Current nesting depth (see :data:`MAX_NESTING_DEPTH`).  A parser is
+        #: single-use, so an abandoned parse need not unwind it.
+        self._depth = 0
 
     # ------------------------------------------------------------------ token helpers
     @property
@@ -64,6 +76,11 @@ class Parser:
     def _error(self, message: str) -> ParseError:
         token = self.current
         return ParseError(f"{message}, found {token.text!r}", token.line, token.column)
+
+    def _nest(self) -> None:
+        self._depth += 1
+        if self._depth > MAX_NESTING_DEPTH:
+            raise self._error(f"nesting too deep (more than {MAX_NESTING_DEPTH} levels)")
 
     def _expect_keyword(self, word: str) -> Token:
         if not self.current.is_keyword(word):
@@ -439,6 +456,12 @@ class Parser:
         return items
 
     def _parse_statement(self) -> ast.Statement | None:
+        self._nest()
+        statement = self._parse_statement_form()
+        self._depth -= 1
+        return statement
+
+    def _parse_statement_form(self) -> ast.Statement | None:
         token = self.current
         if token.is_punct(";"):
             self._advance()
@@ -617,7 +640,10 @@ class Parser:
 
     # ------------------------------------------------------------------ expressions
     def _parse_expression(self) -> ast.Expression:
-        return self._parse_ternary()
+        self._nest()
+        expression = self._parse_ternary()
+        self._depth -= 1
+        return expression
 
     def _parse_ternary(self) -> ast.Expression:
         condition = self._parse_binary(0)
@@ -628,21 +654,32 @@ class Parser:
             return ast.Ternary(condition=condition, if_true=if_true, if_false=if_false)
         return condition
 
-    def _parse_binary(self, level: int) -> ast.Expression:
-        if level >= len(_BINARY_PRECEDENCE):
-            return self._parse_unary()
-        operators = _BINARY_PRECEDENCE[level]
-        left = self._parse_binary(level + 1)
-        while self.current.kind is TokenKind.OPERATOR and self.current.text in operators:
+    def _parse_binary(self, min_level: int) -> ast.Expression:
+        """Precedence climbing over operators at ``min_level`` or tighter.
+
+        One frame per operand instead of one per precedence level; each
+        application deepens the left-leaning tree, so it counts as a level.
+        """
+        left = self._parse_unary()
+        applications = 0
+        while self.current.kind is TokenKind.OPERATOR:
+            level = _BINARY_LEVEL.get(self.current.text)
+            if level is None or level < min_level:
+                break
             op = self._advance().text
             right = self._parse_binary(level + 1)
             left = ast.BinaryOp(op=op, left=left, right=right)
+            self._nest()
+            applications += 1
+        self._depth -= applications
         return left
 
     def _parse_unary(self) -> ast.Expression:
         if self.current.kind is TokenKind.OPERATOR and self.current.text in _UNARY_OPERATORS:
             op = self._advance().text
+            self._nest()
             operand = self._parse_unary()
+            self._depth -= 1
             return ast.UnaryOp(op=op, operand=operand)
         return self._parse_primary()
 

@@ -224,7 +224,10 @@ class ExpressionEvaluator:
     def _evaluate_shift(self, op: str, left: LogicVector, right: LogicVector) -> LogicVector:
         if right.has_unknown:
             return LogicVector.unknown(left.width)
-        amount = right.to_int()
+        # Shifting by the operand width already clears (or sign-fills) every
+        # bit, so clamping is bit-identical and keeps huge amounts from
+        # materialising astronomically wide intermediate integers.
+        amount = min(right.to_int(), left.width)
         if left.has_unknown:
             # Shift x bits along with the value plane.
             value = left.value

@@ -10,6 +10,8 @@ from repro.core.llm.profiles import BASELINE_PROFILES
 from repro.core.llm.simulated import SimulatedCodeGenLLM
 from repro.core.pipeline import HaVenPipeline
 from repro.verilog import codegen
+from repro.verilog.simulator.testbench import BatchTestbenchRunner, TestbenchRunner
+from repro.verilog.syntax_checker import SyntaxChecker
 
 
 class PerfectBackend(LLMBackend):
@@ -58,6 +60,45 @@ class WrongButCompilingBackend(LLMBackend):
 @pytest.fixture(scope="module")
 def config() -> EvaluationConfig:
     return EvaluationConfig(num_samples=2, ks=(1,), temperatures=(0.2,))
+
+
+@pytest.fixture(scope="module")
+def sampled_candidates(tiny_human_suite) -> list:
+    """(task, code) for every compiling origen-deepseek sample the evaluator checks."""
+    pipeline = HaVenPipeline(
+        SimulatedCodeGenLLM(BASELINE_PROFILES["origen-deepseek"]), use_sicot=False
+    )
+    checker = SyntaxChecker()
+    candidates = []
+    for task in tiny_human_suite:
+        generation = pipeline.generate(
+            prompt=task.prompt,
+            interface=task.interface,
+            reference_source=task.reference_source,
+            demands=task.demands,
+            config=GenerationConfig(temperature=0.2, num_samples=2, seed=0),
+            prompt_style=task.prompt_style,
+            task_id=task.task_id,
+        )
+        candidates.extend(
+            (task, sample.code)
+            for sample in generation.samples
+            if checker.check(sample.code).ok
+        )
+    return candidates
+
+
+def _verdicts(candidates, runner_for) -> list[tuple[str, bool]]:
+    """(task id, passed) per candidate under the runner ``runner_for(task)`` builds."""
+    return [
+        (
+            task.task_id,
+            runner_for(task)
+            .run(code, task.golden_factory(), task.stimulus(1234), check_outputs=task.check_outputs)
+            .passed,
+        )
+        for task, code in candidates
+    ]
 
 
 class TestEvaluator:
@@ -131,45 +172,43 @@ class TestEvaluator:
         config = EvaluationConfig(temperatures=(0.2, 0.5, 0.8))
         assert config.single_temperature().temperatures == (0.2,)
 
-    def test_batch_and_scalar_runners_agree(self, tiny_human_suite):
-        batched = EvaluationConfig(num_samples=2, ks=(1,), temperatures=(0.2,), use_batch_simulator=True)
-        scalar = EvaluationConfig(num_samples=2, ks=(1,), temperatures=(0.2,), use_batch_simulator=False)
+    def test_batch_and_scalar_runners_agree(self, tiny_human_suite, sampled_candidates):
+        """The evaluator's batched path scores like the scalar oracle, task by task."""
+        config = EvaluationConfig(num_samples=2, ks=(1,), temperatures=(0.2,))
         backend = SimulatedCodeGenLLM(BASELINE_PROFILES["origen-deepseek"])
-        fast = BenchmarkEvaluator(batched).evaluate(HaVenPipeline(backend, use_sicot=False), tiny_human_suite)
-        slow = BenchmarkEvaluator(scalar).evaluate(HaVenPipeline(backend, use_sicot=False), tiny_human_suite)
-        for fast_task, slow_task in zip(fast.task_results, slow.task_results):
-            assert fast_task.num_functional_passes == slow_task.num_functional_passes, fast_task.task_id
-            assert fast_task.num_syntax_passes == slow_task.num_syntax_passes
-
-    def test_differential_oracle_mode_runs_clean(self, tiny_human_suite):
-        config = EvaluationConfig(
-            num_samples=1, ks=(1,), temperatures=(0.2,), max_tasks=4, differential_oracle=True
+        result = BenchmarkEvaluator(config).evaluate(
+            HaVenPipeline(backend, use_sicot=False), tiny_human_suite
         )
-        evaluator = BenchmarkEvaluator(config)
-        result = evaluator.evaluate(HaVenPipeline(PerfectBackend(), use_sicot=False), tiny_human_suite)
-        assert result.functional_pass_at_k()[1] == pytest.approx(1.0)
+        scalar = _verdicts(
+            sampled_candidates, lambda task: TestbenchRunner(clock=task.clock, reset=task.reset)
+        )
+        for task_result in result.task_results:
+            passes = [passed for task_id, passed in scalar if task_id == task_result.task_id]
+            assert task_result.num_syntax_passes == len(passes), task_result.task_id
+            assert task_result.num_functional_passes == sum(passes), task_result.task_id
 
-    def test_codegen_and_interpreter_backends_agree(self, tiny_human_suite):
-        """Identical verdicts — task by task — under both execution engines."""
-        backend = SimulatedCodeGenLLM(BASELINE_PROFILES["origen-deepseek"])
+    def test_differential_runner_runs_clean(self, sampled_candidates):
+        """The batched runner re-checked against the scalar oracle never diverges."""
+        differential = _verdicts(
+            sampled_candidates,
+            lambda task: BatchTestbenchRunner(
+                clock=task.clock, reset=task.reset, differential=True
+            ),
+        )
+        assert any(passed for _, passed in differential)
+        assert not all(passed for _, passed in differential)
 
-        def sweep(simulator_backend):
-            config = EvaluationConfig(
-                num_samples=2,
-                ks=(1,),
-                temperatures=(0.2,),
-                simulator_backend=simulator_backend,
+    def test_codegen_and_interpreter_backends_agree(self, sampled_candidates):
+        """Identical verdicts — sample by sample — under both execution engines."""
+
+        def engine(backend):
+            return lambda task: BatchTestbenchRunner(
+                clock=task.clock, reset=task.reset, backend=backend
             )
-            return BenchmarkEvaluator(config).evaluate(
-                HaVenPipeline(backend, use_sicot=False), tiny_human_suite
-            )
 
-        fast, slow = sweep("auto"), sweep("interpret")
-        assert fast.functional_pass_at_k() == slow.functional_pass_at_k()
-        for fast_task, slow_task in zip(fast.task_results, slow.task_results):
-            assert fast_task.task_id == slow_task.task_id
-            assert fast_task.num_functional_passes == slow_task.num_functional_passes
-            assert fast_task.num_syntax_passes == slow_task.num_syntax_passes
+        assert _verdicts(sampled_candidates, engine("auto")) == _verdicts(
+            sampled_candidates, engine("interpret")
+        )
 
     def test_generate_only_backend_draws_once_per_task_temperature(self, tiny_human_suite):
         """A backend without ``generate_at`` is asked for the whole stream at once."""

@@ -5,12 +5,20 @@ layer: clocked task families are *proven* (k-induction) under ``mode="formal"``
 instead of silently degrading to simulation, combinational candidates ride the
 per-worker equivalence session, SAT accounting travels on
 ``TestbenchResult.proof_stats`` into :class:`CheckOutcome`, and the durable
-result keys stay byte-stable at default knob values.
+result keys stay byte-identical to the ones written while the engine was
+selectable.
 """
 
 from __future__ import annotations
 
-from repro.bench.evaluator import EvaluationConfig, check_request_for, task_check_keys
+import pytest
+
+from repro.bench.evaluator import (
+    RETIRED_ENGINE_KEYS,
+    EvaluationConfig,
+    check_request_for,
+    task_check_keys,
+)
 from repro.bench.families import make_counter_task, make_expression_task
 from repro.bench.jobs import (
     CheckOutcome,
@@ -41,10 +49,8 @@ endmodule
 COUNTER_BAD = COUNTER_OK.replace("4'hF", "4'hE")
 
 
-def _formal_request(task, code, **overrides):
-    config = EvaluationConfig(
-        num_samples=1, ks=(1,), temperatures=(0.2,), mode="formal", **overrides
-    )
+def _formal_request(task, code):
+    config = EvaluationConfig(num_samples=1, ks=(1,), temperatures=(0.2,), mode="formal")
     stimulus, stim_key, mkey = task_check_keys(task, config, 0.2)
     key = ResultKey(design_key=design_key(code), stimulus_key=stim_key, mode=mkey)
     return check_request_for(task, code, key, stimulus, config)
@@ -52,27 +58,19 @@ def _formal_request(task, code, **overrides):
 
 class TestModeKeyStability:
     def test_default_formal_key_is_unchanged(self):
-        # Durable result stores index by this string: the new knobs must not
-        # shift it at their default values.
-        assert (
-            mode_key("formal", True, False, 50_000)
-            == "formal:50000|batch=True|diff=False"
-        )
-        assert mode_key("simulation", True, False, None) == (
-            "simulation|batch=True|diff=False"
-        )
+        # Durable result stores index by this string: it must stay
+        # byte-identical to the keys written while the engine was selectable.
+        assert mode_key("formal", 50_000) == "formal:50000|batch=True|diff=False"
+        assert mode_key("simulation", None) == "simulation|batch=True|diff=False"
 
-    def test_non_default_knobs_enter_the_key(self):
-        assert mode_key(
-            "formal", True, False, 50_000, formal_incremental=False
-        ).endswith("|inc=False")
-        assert mode_key("formal", True, False, 50_000, induction_depth=7).endswith(
-            "|induction=7"
-        )
-        # Simulation mode ignores the formal knobs entirely.
-        assert mode_key(
-            "simulation", True, False, None, formal_incremental=False, induction_depth=9
-        ) == "simulation|batch=True|diff=False"
+    def test_task_check_keys_use_the_frozen_strings(self):
+        task = make_expression_task("expr_keys", "unit", seed=3)
+        for mode, expected in (
+            ("simulation", "simulation|batch=True|diff=False"),
+            ("formal", "formal:50000|batch=True|diff=False"),
+        ):
+            config = EvaluationConfig(mode=mode)
+            assert task_check_keys(task, config, 0.2)[2] == expected
 
 
 class TestCheckOutcomeProofStats:
@@ -137,13 +135,6 @@ class TestSequentialFormalMode:
         assert execution.degradation == ()
         assert execution.result.proof_stats["method"] == "induction"
 
-    def test_induction_depth_zero_restores_simulation_fallback(self):
-        task = make_counter_task("counter_nodepth", "unit", seed=COUNTER_SEED)
-        request = _formal_request(task, COUNTER_OK, induction_depth=0)
-        _, result = execute_check(request)
-        assert result.passed
-        assert result.proof_stats is None  # simulated, not proven
-
 
 class TestCombinationalFormalMode:
     def test_candidates_ride_the_worker_session(self):
@@ -167,37 +158,50 @@ class TestCombinationalFormalMode:
         assert jobs._worker_sessions[key] is session
 
     def test_incremental_off_matches_session_verdict(self):
+        # The fresh-solver prover is the oracle for the worker session.
+        from repro.bench.golden import formal_equivalence_check
+
         task = make_expression_task("expr_fresh", "unit", seed=3)
-        on = _formal_request(task, task.reference_source)
-        off = _formal_request(task, task.reference_source, formal_incremental=False)
-        assert on.key.mode != off.key.mode  # distinct durable keys
-        _, with_session = execute_check(on)
-        _, without = execute_check(off)
-        assert with_session.passed == without.passed
+        inverted = task.reference_source.replace("assign out =", "assign out = ~")
+        verdicts = []
+        for code in (task.reference_source, inverted):
+            _, with_session = execute_check(_formal_request(task, code))
+            fresh = formal_equivalence_check(
+                code,
+                task.reference_source,
+                outputs=task.check_outputs,
+                conflict_limit=50_000,
+                session=None,
+            )
+            assert with_session.passed == fresh.equivalent
+            verdicts.append(fresh.equivalent)
+        assert verdicts == [True, False]
 
 
 class TestConfigSerialization:
-    def test_new_knobs_roundtrip(self):
-        config = EvaluationConfig(
-            num_samples=1,
-            ks=(1,),
-            temperatures=(0.2,),
-            formal_incremental=False,
-            induction_depth=6,
-        )
-        restored = EvaluationConfig.from_dict(config.to_dict())
-        assert restored.formal_incremental is False
-        assert restored.induction_depth == 6
-        single = config.single_temperature()
-        assert single.formal_incremental is False
-        assert single.induction_depth == 6
+    def test_retired_engine_keys_are_serialized_frozen(self):
+        # Manifests hash ``to_dict``: the retired keys stay in it at their
+        # frozen values so pre-existing run ids keep resolving.
+        payload = EvaluationConfig(num_samples=1, ks=(1,), temperatures=(0.2,)).to_dict()
+        for name, frozen in RETIRED_ENGINE_KEYS.items():
+            assert payload[name] == frozen
 
-    def test_old_payloads_get_defaults(self):
-        payload = EvaluationConfig(
-            num_samples=1, ks=(1,), temperatures=(0.2,)
-        ).to_dict()
-        payload.pop("formal_incremental")
-        payload.pop("induction_depth")
+    def test_legacy_payload_at_defaults_loads(self):
+        payload = EvaluationConfig(num_samples=1, ks=(1,), temperatures=(0.2,)).to_dict()
         restored = EvaluationConfig.from_dict(payload)
-        assert restored.formal_incremental is True
-        assert restored.induction_depth == 4
+        assert restored.to_dict() == payload
+        for name in RETIRED_ENGINE_KEYS:
+            payload.pop(name)
+        assert EvaluationConfig.from_dict(payload).to_dict() == restored.to_dict()
+
+    def test_non_default_retired_key_is_rejected(self):
+        base = EvaluationConfig(num_samples=1, ks=(1,), temperatures=(0.2,)).to_dict()
+        for name, value in (
+            ("use_batch_simulator", False),
+            ("differential_oracle", True),
+            ("simulator_backend", "interpret"),
+            ("formal_incremental", False),
+            ("induction_depth", 0),
+        ):
+            with pytest.raises(ValueError, match=name):
+                EvaluationConfig.from_dict({**base, name: value})

@@ -145,27 +145,38 @@ class TestReferenceValidation:
     def test_verilogeval_references_self_consistent(self):
         from repro.bench.verilogeval import validate_references
 
-        failures = validate_references(
-            SuiteConfig(num_tasks=10, seed=5), max_tasks=10, differential=True
-        )
+        failures = validate_references(SuiteConfig(num_tasks=10, seed=5), max_tasks=10)
         assert failures == {}
 
     def test_verilogeval_v2_references_self_consistent(self):
         from repro.bench.verilogeval_v2 import validate_references
 
-        failures = validate_references(V2Config(num_tasks=8, seed=9), differential=True)
+        failures = validate_references(V2Config(num_tasks=8, seed=9))
         assert failures == {}
 
     def test_rtllm_references_self_consistent(self):
         from repro.bench.rtllm import validate_references
 
-        failures = validate_references(RTLLMConfig(num_tasks=12, seed=3), differential=True)
+        failures = validate_references(RTLLMConfig(num_tasks=12, seed=3))
         assert failures == {}
 
     def test_scalar_and_batched_validation_agree(self):
         from repro.bench.evaluator import check_reference_designs
 
+        from repro.verilog.simulator.testbench import TestbenchRunner
+
         suite = build_verilogeval_machine(SuiteConfig(num_tasks=8, seed=21))
-        batched = check_reference_designs(suite, use_batch=True)
-        scalar = check_reference_designs(suite, use_batch=False)
-        assert set(batched) == set(scalar) == set()
+        batched = check_reference_designs(suite)
+        scalar = {
+            task.task_id
+            for task in suite
+            if not TestbenchRunner(clock=task.clock, reset=task.reset)
+            .run(
+                task.reference_source,
+                task.golden_factory(),
+                task.stimulus(1234),
+                check_outputs=task.check_outputs,
+            )
+            .passed
+        }
+        assert set(batched) == scalar == set()

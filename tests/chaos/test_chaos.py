@@ -130,7 +130,7 @@ def _requests(mode: str = "simulation") -> dict[str, CheckRequest]:
                 task.reset,
                 reference_source=task.reference_source,
             ),
-            mode=mode_key(mode, True, False, None),
+            mode=mode_key(mode, None),
         )
         requests[task.task_id] = CheckRequest(
             key=key,
@@ -207,22 +207,22 @@ class TestSerialFaults:
         assert "wall-clock budget" in execution.error
 
     def test_hung_codegen_backed_check_is_quarantined(self):
-        """A hang in a codegen-pinned check is cut exactly like an interpreted one.
+        """A hang in a codegen-backed check is cut exactly like an interpreted one.
 
         The generated settle loops tick ``check_deadline`` per pass (pinned by
         the codegen unit tests); this proves the integration: a cooperative
-        hang inside a ``backend="codegen"`` check burns its attempts against
-        the same deadline budget and quarantines only the poison unit.
+        hang inside a check on the default (generated-code) engine burns its
+        attempts against the same deadline budget and quarantines only the
+        poison unit.
         """
-        from dataclasses import replace
+        from repro.verilog import codegen
+        from repro.verilog.design import get_default_database
 
         install_faults(
             [FaultSpec("hang", task_id="chaos_and", hang_s=30.0, cooperative=True)]
         )
-        requests = {
-            task_id: replace(request, backend="codegen")
-            for task_id, request in _requests().items()
-        }
+        requests = _requests()
+        codegen.reset_fallback_stats()
         started = time.monotonic()
         report = run_checks(
             list(requests.values()),
@@ -238,6 +238,12 @@ class TestSerialFaults:
         # The healthy codegen-backed checks still settle their real verdicts.
         for task_id in ("chaos_xor", "chaos_or"):
             assert report.executions[requests[task_id].key].result.passed
+        # Every design lowered to generated code: the only interpreter
+        # fallbacks are the per-call x-state settles at construction.
+        database = get_default_database()
+        for request in requests.values():
+            assert database.compile(request.code).codegen.supported
+        assert set(codegen.fallback_stats()["reasons"]) <= {codegen.XZ_STATE}
 
     def test_deadline_degrades_formal_to_simulation(self):
         # The hang only hits attempt 1: the retry must have dropped the proof.

@@ -86,6 +86,13 @@ class TestRoutes:
     def test_missing_body_is_400(self, server):
         assert request(server, "/runs", data=b"")[0] == 400
 
+    def test_retired_engine_key_is_400(self, server):
+        payload = small_manifest().to_dict()
+        payload["config"]["simulator_backend"] = "interpret"
+        code, _, body = request(server, "/runs", data=json.dumps(payload).encode())
+        assert code == 400
+        assert "simulator_backend" in json.loads(body)["error"]
+
 
 class TestSubmission:
     def test_submit_then_resubmit(self, server):

@@ -152,6 +152,52 @@ class TestShiftsSelectsConcat:
         assert _evaluate("$clog2(a)", signals).to_int() == 4
 
 
+#: A shift amount whose scalar image would be a 2**48-bit integer.
+HUGE = "64'hFFFFFFFFFFFF"
+
+#: A clocked design, so the checks run on the scalar cycle-serial engine.
+HUGE_SHIFT_CLOCKED = f"""
+module top_module(input clk, input [7:0] d, output reg [7:0] q, output reg [7:0] s);
+    always @(posedge clk) begin
+        q <= (d << {HUGE}) | (d >> {HUGE}) | (d << 3);
+        s <= d >>> {HUGE};
+    end
+endmodule
+"""
+
+
+class TestHugeShiftAmounts:
+    """Shifting by more than the operand width clears (or sign-fills) it."""
+
+    def test_huge_amounts_match_a_full_width_shift(self):
+        signals = _signals(a=(0b1011, 4))
+        for op in ("<<", ">>", "<<<", ">>>"):
+            assert _evaluate(f"a {op} {HUGE}", signals) == _evaluate(f"a {op} 4", signals)
+        assert _evaluate(f"a << {HUGE}", signals).to_int() == 0
+        assert _evaluate(f"a >>> {HUGE}", signals).slice(3, 0).to_int() == 0b1111
+
+    def test_huge_amounts_clear_the_x_plane(self):
+        signals = {"a": LogicVector(width=4, value=0b0001, xz_mask=0b0110)}
+        for op in ("<<", ">>"):
+            shifted = _evaluate(f"a {op} {HUGE}", signals)
+            assert shifted == _evaluate(f"a {op} 4", signals)
+            assert not shifted.has_unknown
+
+    def test_clocked_design_on_the_scalar_engine(self):
+        from repro.verilog.simulator.batch import BatchSimulator
+        from repro.verilog.simulator.simulator import ModuleSimulator
+
+        scalar = ModuleSimulator.from_source(HUGE_SHIFT_CLOCKED)
+        batched = BatchSimulator.from_source(HUGE_SHIFT_CLOCKED, lanes=1, backend="interpret")
+        for d in (0x81, 0x7F, 0x10, 0xFF):
+            scalar.clock_cycle(inputs={"d": d})
+            batched.clock_cycle(inputs={"d": [d]})
+            assert scalar.get_int("q") == (d << 3) & 0xFF
+            assert not scalar.get("s").has_unknown
+            for name in ("q", "s"):
+                assert batched.get_lane(name, 0) == scalar.get(name)
+
+
 class TestContextAndErrors:
     def test_parameter_lookup(self):
         evaluator = ExpressionEvaluator(EvalContext(parameters={"WIDTH": 8}))

@@ -275,3 +275,106 @@ class TestSequential:
         """
         simulator = ModuleSimulator.from_source(source)
         assert any("hello" in line for line in simulator.display_log)
+
+
+#: Net-declaration assignments: ``wire w = expr;`` is a continuous assign.
+WIRE_INIT = """
+module top_module(input [3:0] a, input [3:0] b, output [3:0] y, output z);
+    wire [3:0] t = a ^ b;
+    wire p = &t, q = |a;
+    assign y = t + 4'd1;
+    assign z = p | q;
+endmodule
+"""
+
+#: The same design spelled with separate ``assign`` statements.
+ASSIGN_TWIN = """
+module top_module(input [3:0] a, input [3:0] b, output [3:0] y, output z);
+    wire [3:0] t;
+    wire p, q;
+    assign t = a ^ b;
+    assign p = &t;
+    assign q = |a;
+    assign y = t + 4'd1;
+    assign z = p | q;
+endmodule
+"""
+
+#: A clocked design reading a net-declaration assignment (scalar engine path).
+WIRE_INIT_CLOCKED = """
+module top_module(input clk, input rst, input [3:0] d, output reg [3:0] q);
+    wire [3:0] next = q + d;
+    always @(posedge clk) begin
+        if (rst) q <= 4'd0;
+        else q <= next;
+    end
+endmodule
+"""
+
+
+class TestNetDeclarationAssignment:
+    """``wire w = a;`` scores like its ``assign`` twin on every engine."""
+
+    VECTORS = [{"a": a, "b": b} for a in range(16) for b in range(0, 16, 3)]
+
+    @staticmethod
+    def _expected(vector):
+        t = vector["a"] ^ vector["b"]
+        return {"y": (t + 1) & 0xF, "z": int(t == 0xF or vector["a"] != 0)}
+
+    def _golden(self):
+        from repro.bench.golden import VectorFunctionGolden
+
+        return VectorFunctionGolden(self._expected)
+
+    def test_scalar_engine(self):
+        for source in (WIRE_INIT, ASSIGN_TWIN):
+            outputs = simulate_combinational(source, self.VECTORS)
+            for vector, values in zip(self.VECTORS, outputs):
+                actual = {name: value.to_int() for name, value in values.items()}
+                assert actual == self._expected(vector)
+
+    @pytest.mark.parametrize("backend", ["interpret", "codegen"])
+    def test_batch_engines(self, backend):
+        from repro.verilog.simulator.batch import BatchSimulator
+
+        inputs = {name: [vector[name] for vector in self.VECTORS] for name in ("a", "b")}
+        for source in (WIRE_INIT, ASSIGN_TWIN):
+            simulator = BatchSimulator.from_source(source, lanes=len(self.VECTORS), backend=backend)
+            simulator.apply_inputs(inputs)
+            for lane, vector in enumerate(self.VECTORS):
+                expected = self._expected(vector)
+                assert simulator.get_lane("y", lane).to_int() == expected["y"]
+                assert simulator.get_lane("z", lane).to_int() == expected["z"]
+
+    def test_testbench_verdicts_match_the_twin(self):
+        from repro.verilog.simulator.testbench import BatchTestbenchRunner, TestbenchRunner
+
+        for runner in (TestbenchRunner(), BatchTestbenchRunner(differential=True)):
+            for source in (WIRE_INIT, ASSIGN_TWIN):
+                assert runner.run(source, self._golden(), list(self.VECTORS)).passed
+
+    def test_formal_engine(self):
+        from repro.bench.golden import formal_equivalence_check
+
+        assert formal_equivalence_check(WIRE_INIT, ASSIGN_TWIN, session=None).equivalent
+        wrong = ASSIGN_TWIN.replace("assign q = |a;", "assign q = &a;")
+        assert not formal_equivalence_check(WIRE_INIT, wrong, session=None).equivalent
+
+    def test_clocked_design_on_the_scalar_engine(self):
+        simulator = ModuleSimulator.from_source(WIRE_INIT_CLOCKED)
+        simulator.apply_inputs({"clk": 0, "rst": 1, "d": 0})
+        simulator.clock_cycle(inputs={"rst": 1, "d": 0})
+        total = 0
+        for d in (3, 5, 9, 2):
+            simulator.clock_cycle(inputs={"rst": 0, "d": d})
+            total = (total + d) & 0xF
+            assert simulator.get_int("q") == total
+
+    def test_reg_initialiser_stays_a_constant(self):
+        simulator = ModuleSimulator.from_source(
+            "module m(input [3:0] a, output [3:0] y); reg [3:0] r = 4'd5;"
+            " assign y = r; endmodule"
+        )
+        simulator.apply_inputs({"a": 3})
+        assert simulator.get_int("y") == 5

@@ -96,3 +96,47 @@ class TestCorpusLevelBehaviour:
         assert clean
         passes = sum(1 for sample in clean if checker.check(sample.code).ok)
         assert passes == len(clean)
+
+
+def _nested(shape: str, depth: int) -> str:
+    """A design whose single output nests ``depth`` levels of ``shape``."""
+    if shape == "ifs":
+        body = "if (a[0]) " * depth + "y = a;"
+        return (
+            "module top_module(input [3:0] a, output reg [3:0] y);"
+            f" always @(*) begin y = a; {body} end endmodule"
+        )
+    expression = {
+        "parens": "(" * depth + "a" + ")" * depth,
+        "unary": "~" * (2 * (depth // 2)) + "a",
+        "chain": " ^ ".join(["a"] * (2 * (depth // 2) + 1)),
+    }[shape]
+    return f"module top_module(input [3:0] a, output [3:0] y); assign y = {expression}; endmodule"
+
+
+class TestNestingDepth:
+    """Hostile nesting is a failing CompileResult, never a RecursionError."""
+
+    SHAPES = ("parens", "ifs", "unary", "chain")
+
+    def test_hostile_nesting_fails_the_check(self):
+        for shape, depth in (("parens", 3000), ("ifs", 2000), ("unary", 3000), ("chain", 3000)):
+            result = SyntaxChecker().check(_nested(shape, depth))
+            assert not result.ok, shape
+            assert "nesting too deep" in result.errors[0].message, shape
+
+    def test_designs_at_the_limit_run_on_every_engine(self):
+        from repro.bench.golden import VectorFunctionGolden, formal_equivalence_check
+        from repro.verilog.parser import MAX_NESTING_DEPTH
+        from repro.verilog.simulator.testbench import BatchTestbenchRunner, TestbenchRunner
+
+        reference = "module top_module(input [3:0] a, output [3:0] y); assign y = a; endmodule"
+        stimulus = [{"a": value} for value in range(16)]
+        for shape in self.SHAPES:
+            # The enclosing block, statement and expression take up to three levels.
+            source = _nested(shape, MAX_NESTING_DEPTH - 3)
+            assert SyntaxChecker().check(source).ok, shape
+            for runner in (TestbenchRunner(), BatchTestbenchRunner(differential=True)):
+                golden = VectorFunctionGolden(lambda vector: {"y": vector["a"]})
+                assert runner.run(source, golden, stimulus).passed, shape
+            assert formal_equivalence_check(source, reference, session=None).equivalent, shape
