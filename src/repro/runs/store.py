@@ -14,7 +14,9 @@ Appends are single ``O_APPEND`` writes of one line, so disjoint shard
 processes can safely fill one journal concurrently.  On load, a corrupted,
 truncated, or schema-invalid line (the signature of a crash mid-write) is
 dropped and counted in :attr:`RunStore.recovered_lines`; the unit it
-described simply re-runs.  ``RunStore.open()`` resolves the directory from
+described simply re-runs.  A store remembers how many journal bytes it has
+consumed, so :meth:`RunStore.refresh` picks up other writers' appends by
+reading only the new tail.  ``RunStore.open()`` resolves the directory from
 the ``REPRO_RUN_DIR`` environment variable when none is given;
 ``RunStore.ephemeral()`` keeps the journal purely in memory for library
 callers that do not want persistence.
@@ -77,6 +79,12 @@ class RunStore:
         self.recovered_lines = 0
         self._records: list[dict] = []
         self._index: dict[str, dict] = {}
+        #: Journal bytes consumed so far, and the inode they were read from.
+        self._offset = 0
+        self._inode: int | None = None
+        #: Bumped whenever the in-memory journal is discarded and re-read, so
+        #: holders of a position in :meth:`records` know to start over.
+        self.generation = 0
         if self.directory is not None:
             self.directory.mkdir(parents=True, exist_ok=True)
             self._load_journal()
@@ -137,18 +145,46 @@ class RunStore:
         return self.directory / JOURNAL_FILENAME
 
     def _load_journal(self) -> None:
+        """Consume the journal bytes appended since the last call.
+
+        This is the only parse path: the constructor calls it from offset 0,
+        :meth:`refresh` from the offset already consumed.  A journal that
+        shrank below that offset or was replaced (new inode) is re-read from
+        the start; one rewritten in place to at least its old length is not
+        detected.
+        """
         path = self._journal_path()
-        if not path.exists():
+        try:
+            handle = open(path, "rb")
+        except FileNotFoundError:
+            if self._inode is not None:
+                self._reset()  # the journal was removed: as a fresh store sees it
             return
-        raw = path.read_text(errors="replace")
-        if raw and not raw.endswith("\n"):
-            # A crash tore the final append mid-line.  Terminate it so later
-            # appends land on their own line instead of gluing onto the torn
-            # tail (which would corrupt them too).
-            with open(path, "a") as handle:
-                handle.write("\n")
-        lines = raw.split("\n")
-        for position, line in enumerate(lines):
+        with handle:
+            stat = os.fstat(handle.fileno())
+            if self._inode is not None and (
+                stat.st_ino != self._inode or stat.st_size < self._offset
+            ):
+                self._reset()
+            self._inode = stat.st_ino
+            handle.seek(self._offset)
+            data = handle.read()
+            if data and not data.endswith((b"\n", b"\r")):
+                # A crash tore the final append mid-line.  Terminate it so
+                # later appends land on their own line instead of gluing onto
+                # the torn tail (which would corrupt them too), then re-read:
+                # an append that was merely still in flight is now whole.
+                with open(path, "a") as repair:
+                    repair.write("\n")
+                handle.seek(self._offset)
+                data = handle.read()
+        # Consume whole lines only; a fragment still being appended by another
+        # process waits for the next call.
+        end = max(data.rfind(b"\n"), data.rfind(b"\r")) + 1
+        self._offset += end
+        # Text-mode semantics: replacement decoding and universal newlines.
+        text = data[:end].decode("utf-8", errors="replace")
+        for line in text.replace("\r\n", "\n").replace("\r", "\n").split("\n"):
             if not line.strip():
                 continue
             try:
@@ -162,6 +198,14 @@ class RunStore:
                 self.recovered_lines += 1
                 continue
             self._admit(record)
+
+    def _reset(self) -> None:
+        self.recovered_lines = 0
+        self._records = []
+        self._index = {}
+        self._offset = 0
+        self._inode = None
+        self.generation += 1
 
     def _admit(self, record: dict) -> bool:
         key = record["key"]
@@ -182,7 +226,16 @@ class RunStore:
                 self._journal_path(), os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644
             )
             try:
-                os.write(fd, line.encode("utf-8"))
+                data = line.encode("utf-8")
+                os.write(fd, data)
+                # Our own line directly follows what this store has consumed:
+                # step over it instead of re-reading it on the next refresh.
+                end = os.lseek(fd, 0, os.SEEK_CUR)
+                if end - len(data) == self._offset:
+                    inode = os.fstat(fd).st_ino
+                    if self._inode in (None, inode):
+                        self._inode = inode
+                        self._offset = end
             finally:
                 os.close(fd)
         return True
@@ -259,9 +312,9 @@ class RunStore:
     def completed_keys(self) -> set[str]:
         return set(self._index)
 
-    def records(self) -> Iterator[dict]:
-        """Journal records in append order."""
-        return iter(list(self._records))
+    def records(self, start: int = 0) -> Iterator[dict]:
+        """Journal records in append order, from position ``start`` on."""
+        return iter(self._records[start:])
 
     def quarantined_records(self) -> list[dict]:
         """Quarantine records in append order."""
@@ -277,13 +330,23 @@ class RunStore:
             return None
         return CheckOutcome.from_dict(record["outcome"])
 
+    def refresh(self) -> None:
+        """Catch up on the journal lines appended since the last read.
+
+        Costs work in proportion to the new bytes only.  A store that only
+        reads then holds what a freshly constructed one would (records, keys
+        and ``recovered_lines``).  A store that also appends without catching
+        up first may order its own records differently, or keep its own
+        record for a key another writer journaled first.
+        """
+        if self.directory is not None:
+            self._load_journal()
+
     def reload(self) -> None:
-        """Re-read the journal from disk (pick up other shards' appends)."""
+        """Re-read the whole journal from disk (pick up other shards' appends)."""
         if self.directory is None:
             return
-        self.recovered_lines = 0
-        self._records = []
-        self._index = {}
+        self._reset()
         self._load_journal()
 
 

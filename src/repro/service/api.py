@@ -31,6 +31,7 @@ from __future__ import annotations
 import json
 import os
 import re
+import threading
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -73,8 +74,9 @@ class ReproServiceServer(ThreadingHTTPServer):
         self.http_counters = HttpCounters()
         self.limiter = RateLimiter(rate_per_s=config.rate_per_s, burst=config.burst)
         self.metrics = ServiceMetrics(broker, self.http_counters)
-        #: run id → cached StreamingAggregator (resolver reuse across scrapes).
-        self._aggregators: dict[str, StreamingAggregator] = {}
+        #: run id → (aggregator, view generation, view records fed so far).
+        self._aggregators: dict[str, tuple[StreamingAggregator, int, int]] = {}
+        self._aggregators_lock = threading.Lock()
         super().__init__((config.host, config.port), _Handler)
 
     @property
@@ -83,14 +85,19 @@ class ReproServiceServer(ThreadingHTTPServer):
         return f"http://{host}:{port}"
 
     def aggregator(self, run_id: str) -> StreamingAggregator:
-        aggregator = self._aggregators.get(run_id)
-        if aggregator is None:
-            aggregator = StreamingAggregator(self.broker.manifest(run_id))
-            self._aggregators[run_id] = aggregator
-        # feed() dedups by sample index, so re-feeding the whole journal on
-        # every request is idempotent — only new records change the state.
-        aggregator.feed_store(self.broker.store(run_id))
-        return aggregator
+        """The run's aggregator, fed the journal records appended since last time."""
+        view = self.broker.view(run_id)
+        with self._aggregators_lock:
+            aggregator, generation, fed = self._aggregators.get(run_id, (None, -1, 0))
+            if aggregator is None or generation != view.generation:
+                # First report, or the journal was re-read from scratch.
+                aggregator = StreamingAggregator(self.broker.manifest(run_id))
+                generation, fed = view.generation, 0
+            for record in view.records(fed):
+                aggregator.feed(record)
+                fed += 1
+            self._aggregators[run_id] = (aggregator, generation, fed)
+            return aggregator
 
 
 @dataclass

@@ -26,11 +26,24 @@ Lease protocol (at-least-once by construction):
 * any broker client sweeps *expired* leases during :meth:`FileBroker.lease`
   — the unit requeues and the sweep is journaled as a ``requeue`` event (the
   ``/metrics`` requeue counter);
-* *completion* happens under an exclusive ``flock`` on ``journal.lock``: the
-  journal is re-read inside the lock and the outcome appended only if the
-  unit's key is still absent, so two workers racing a requeued unit yield
-  exactly one journal record.  (Verdicts are deterministic and
+* *completion* happens under an exclusive ``flock`` on ``journal.lock``:
+  inside the lock the broker catches up on the journal tail (the bytes
+  appended since its last read, not the whole file) and appends the outcome
+  only if the unit's key is still absent, so two workers racing a requeued
+  unit yield exactly one journal record.  (Verdicts are deterministic and
   content-addressed, so the loser's discarded verdict is identical anyway.)
+* a unit whose lease has expired :data:`MAX_LEASE_ATTEMPTS` times is not
+  handed out again: :meth:`FileBroker.lease` journals it as quarantined, so a
+  unit that kills every worker that takes it cannot requeue forever.
+
+Each :class:`FileBroker` keeps per-run state for its lifetime: the parsed
+``units.json`` (written once, atomically, never changed), one tailing
+:class:`~repro.runs.store.RunStore` view of the journal, a tail of
+``events.jsonl`` (requeue counts, completion timestamps) and a cursor at the
+first unit not yet journaled.  Every read path — leasing, completion,
+status, metrics — therefore costs work in proportion to what is new since
+its last call, not to the size of the run.  The state is per process;
+other processes' appends reach it through the tails.
 
 Everything is stdlib-only.  ``fcntl`` is used for the completion lock where
 available (POSIX); elsewhere completion degrades to lease-holder discipline
@@ -40,12 +53,14 @@ exactly-one-line.
 
 from __future__ import annotations
 
+import bisect
 import json
 import os
+import threading
 import time
 import uuid
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterator, Mapping
 
@@ -65,6 +80,9 @@ BROKER_DIR_ENV = "REPRO_BROKER_DIR"
 UNITS_FILENAME = "units.json"
 EVENTS_FILENAME = "events.jsonl"
 LOCK_FILENAME = "journal.lock"
+
+#: Lease expiries after which a unit is quarantined instead of leased again.
+MAX_LEASE_ATTEMPTS = 3
 
 
 class BrokerError(RuntimeError):
@@ -162,6 +180,101 @@ class RunStatus:
         }
 
 
+def _parse_event(line: str) -> dict | None:
+    """One ``events.jsonl`` line as an event, or None (blank or torn line)."""
+    if not line.strip():
+        return None
+    try:
+        record = json.loads(line)
+    except ValueError:
+        return None
+    return record if isinstance(record, dict) and "event" in record else None
+
+
+@dataclass
+class _RunCache:
+    """One run's state as one broker has read it so far."""
+
+    store_dir: Path
+    units: list[WorkUnit]
+    unit_keys: frozenset[str]
+    view: RunStore | None = None  # tailing journal view, opened on first use
+    #: Index of the first unit not yet journaled.  Journaled keys never
+    #: leave the journal, so leasing never looks behind it.
+    cursor: int = 0
+    #: View records tallied below, and the view generation they came from.
+    counted: int = 0
+    generation: int = 0
+    journaled: int = 0  # this run's units with a journal record
+    quarantined: int = 0
+    latencies: list[float] = field(default_factory=list)  # sorted duration_s
+    #: ``events.jsonl`` bytes consumed so far, and their inode.
+    events_offset: int = 0
+    events_inode: int | None = None
+    requeues: dict[str, int] = field(default_factory=dict)  # unit key → count
+    requeue_total: int = 0
+    completions: list[float] = field(default_factory=list)  # sorted ``ts``
+
+    def open_view(self) -> RunStore:
+        if self.view is None:
+            self.view = RunStore(self.store_dir)
+        return self.view
+
+    def manifest(self) -> RunManifest:
+        return self.open_view().load_manifest()
+
+    def catch_up(self, events_path: Path) -> None:
+        """Fold in the journal and event lines appended since the last call."""
+        view = self.open_view()
+        view.refresh()
+        if view.generation != self.generation:  # journal replaced: recount
+            self.generation = view.generation
+            self.cursor = self.counted = self.journaled = self.quarantined = 0
+            self.latencies = []
+        manifest_hash = self.manifest().manifest_hash
+        for record in view.records(self.counted):
+            self.counted += 1
+            if record["key"] in self.unit_keys:
+                self.journaled += 1
+            kind = record.get("kind", "unit")
+            if kind == "quarantine" and record.get("manifest") == manifest_hash:
+                self.quarantined += 1
+            elif kind == "unit":
+                duration = record.get("outcome", {}).get("duration_s")
+                if duration:
+                    bisect.insort(self.latencies, float(duration))
+        while self.cursor < len(self.units) and self.units[self.cursor].key in view:
+            self.cursor += 1
+        self.tail_events(events_path)
+
+    def tail_events(self, path: Path) -> None:
+        try:
+            handle = open(path, "rb")
+        except FileNotFoundError:
+            return
+        with handle:
+            stat = os.fstat(handle.fileno())
+            if stat.st_ino != self.events_inode or stat.st_size < self.events_offset:
+                self.events_offset = self.requeue_total = 0
+                self.requeues = {}
+                self.completions = []
+                self.events_inode = stat.st_ino
+            handle.seek(self.events_offset)
+            data = handle.read()
+        end = data.rfind(b"\n") + 1  # a line still being appended waits
+        self.events_offset += end
+        for line in data[:end].decode("utf-8", errors="replace").split("\n"):
+            event = _parse_event(line)
+            if event is None:
+                continue
+            if event["event"] == "requeue":
+                key = event.get("key", "")
+                self.requeues[key] = self.requeues.get(key, 0) + 1
+                self.requeue_total += 1
+            elif event["event"] == "complete":
+                bisect.insort(self.completions, float(event.get("ts", 0.0)))
+
+
 class FileBroker:
     """Durable broker over a directory tree; safe for concurrent processes."""
 
@@ -180,6 +293,9 @@ class FileBroker:
         self.directory = Path(directory)
         self.lease_ttl_s = float(lease_ttl_s)
         self._clock = clock
+        self._runs: dict[str, _RunCache] = {}
+        # Guards the per-run caches: the HTTP server calls in from many threads.
+        self._lock = threading.RLock()
         (self.directory / "runs").mkdir(parents=True, exist_ok=True)
 
     # ------------------------------------------------------------------ paths
@@ -198,6 +314,30 @@ class FileBroker:
 
     def _events_path(self, run_id: str) -> Path:
         return self._run_dir(run_id) / EVENTS_FILENAME
+
+    # ------------------------------------------------------------------ per-run cache
+    def _cache(self, run_id: str) -> _RunCache:
+        """The run's cache as last read (built on first use); hold ``_lock``."""
+        cache = self._runs.get(run_id)
+        if cache is None:
+            path = self._units_path(run_id)
+            if not path.exists():
+                raise BrokerError(f"unknown run {run_id!r}")
+            # The manifest is written before units.json, which never changes.
+            units = [WorkUnit.from_dict(entry) for entry in json.loads(path.read_text())]
+            cache = _RunCache(
+                store_dir=self.store_dir(run_id),
+                units=units,
+                unit_keys=frozenset(unit.key for unit in units),
+            )
+            self._runs[run_id] = cache
+        return cache
+
+    def _current(self, run_id: str) -> _RunCache:
+        """The run's cache, caught up with the journal and event tails."""
+        cache = self._cache(run_id)
+        cache.catch_up(self._events_path(run_id))
+        return cache
 
     # ------------------------------------------------------------------ submission
     def submit(
@@ -252,23 +392,44 @@ class FileBroker:
         return [path.name for path in entries]
 
     def manifest(self, run_id: str) -> RunManifest:
-        manifest = RunStore(self.store_dir(run_id)).load_manifest()
+        with self._lock:
+            manifest = self._cache(run_id).manifest()
         if manifest is None:
             raise BrokerError(f"unknown run {run_id!r}")
         return manifest
 
     def units(self, run_id: str) -> list[WorkUnit]:
         """The run's unit expansion, in deterministic expansion order."""
-        path = self._units_path(run_id)
-        if not path.exists():
-            raise BrokerError(f"unknown run {run_id!r}")
-        return [WorkUnit.from_dict(entry) for entry in json.loads(path.read_text())]
+        with self._lock:
+            return list(self._cache(run_id).units)
 
     def store(self, run_id: str) -> RunStore:
         """A fresh view of the run's journal (re-read from disk)."""
         if not self._units_path(run_id).exists():
             raise BrokerError(f"unknown run {run_id!r}")
         return RunStore(self.store_dir(run_id))
+
+    def view(self, run_id: str) -> RunStore:
+        """This broker's live view of the run's journal, caught up to now.
+
+        The same object on every call: it keeps up by reading the journal's
+        tail, so holders see later appends after the next broker call (or
+        their own :meth:`RunStore.refresh`).  Journal through the broker, not
+        through the view.
+        """
+        with self._lock:
+            return self._current(run_id).view
+
+    def completions_since(self, run_id: str, since: float) -> int:
+        """How many ``complete`` events carry a timestamp at or after ``since``."""
+        with self._lock:
+            completions = self._current(run_id).completions
+            return len(completions) - bisect.bisect_left(completions, since)
+
+    def check_latencies(self, run_id: str) -> list[float]:
+        """Sorted ``duration_s`` of the run's journaled scored units."""
+        with self._lock:
+            return list(self._current(run_id).latencies)
 
     # ------------------------------------------------------------------ leases
     def _read_lease(self, path: Path) -> dict | None:
@@ -292,20 +453,14 @@ class FileBroker:
                 live[path.name] = payload
         return live
 
-    def sweep_expired(self, run_id: str, store: RunStore | None = None) -> int:
-        """Requeue expired leases; returns how many units were requeued.
-
-        Lease files for already-journaled units are reaped silently (the
-        normal end of a lease whose completion raced the sweep); expired
-        leases on un-journaled units are deleted *and* journaled as
-        ``requeue`` events — that unit goes back on the queue.
-        """
-        store = store if store is not None else self.store(run_id)
+    def _sweep(self, run_id: str, store: RunStore) -> tuple[int, set[str]]:
+        """Requeue expired leases: (units requeued, keys under a live lease)."""
         now = self._clock()
         requeued = 0
+        live: set[str] = set()
         leases_dir = self._leases_dir(run_id)
         if not leases_dir.exists():
-            return 0
+            return 0, live
         for path in list(leases_dir.iterdir()):
             payload = self._read_lease(path)
             if payload is None:
@@ -323,7 +478,20 @@ class FileBroker:
                     worker=payload.get("worker", ""),
                 )
                 requeued += 1
-        return requeued
+            else:
+                live.add(path.name)
+        return requeued, live
+
+    def sweep_expired(self, run_id: str) -> int:
+        """Requeue expired leases; returns how many units were requeued.
+
+        Lease files for already-journaled units are reaped silently (the
+        normal end of a lease whose completion raced the sweep); expired
+        leases on un-journaled units are deleted *and* journaled as
+        ``requeue`` events — that unit goes back on the queue.
+        """
+        with self._lock:
+            return self._sweep(run_id, self._current(run_id).view)[0]
 
     def lease(self, run_id: str, worker_id: str, limit: int = 1) -> list[Lease]:
         """Claim up to ``limit`` pending units for ``worker_id``.
@@ -331,48 +499,66 @@ class FileBroker:
         Pending = expanded units minus journaled (scored or quarantined)
         minus live-leased, in expansion order.  Expired leases are swept
         (requeued) first.  Claiming is an atomic hard link per unit, so
-        concurrent workers never double-claim.
+        concurrent workers never double-claim.  A pending unit whose lease
+        already expired :data:`MAX_LEASE_ATTEMPTS` times is journaled as
+        quarantined instead of claimed.
         """
         if limit < 1:
             return []
-        store = self.store(run_id)
-        self.sweep_expired(run_id, store)
-        held = set(self._live_leases(run_id))
-        leases_dir = self._leases_dir(run_id)
-        leases_dir.mkdir(parents=True, exist_ok=True)
-        expires_at = self._clock() + self.lease_ttl_s
-        leases: list[Lease] = []
-        for unit in self.units(run_id):
-            if len(leases) >= limit:
-                break
-            if unit.key in store or unit.key in held:
-                continue
-            path = leases_dir / unit.key
-            payload = {
-                "unit": unit.to_dict(),
-                "worker": worker_id,
-                "expires_at": expires_at,
-            }
-            tmp = leases_dir / f".{uuid.uuid4().hex}.tmp"
-            tmp.write_text(json.dumps(payload, sort_keys=True))
-            try:
-                os.link(tmp, path)  # atomic claim: EEXIST → another worker won
-            except FileExistsError:
-                continue
-            except OSError:
-                continue
-            finally:
-                self._unlink(tmp)
-            leases.append(
-                Lease(
-                    run_id=run_id,
-                    unit=unit,
-                    worker_id=worker_id,
-                    expires_at=expires_at,
-                    path=path,
+        with self._lock:
+            cache = self._current(run_id)
+            requeued, held = self._sweep(run_id, cache.view)
+            if requeued:
+                cache.tail_events(self._events_path(run_id))
+            leases_dir = self._leases_dir(run_id)
+            leases_dir.mkdir(parents=True, exist_ok=True)
+            expires_at = self._clock() + self.lease_ttl_s
+            leases: list[Lease] = []
+            for index in range(cache.cursor, len(cache.units)):
+                if len(leases) >= limit:
+                    break
+                unit = cache.units[index]
+                if unit.key in cache.view or unit.key in held:
+                    continue
+                if cache.requeues.get(unit.key, 0) >= MAX_LEASE_ATTEMPTS:
+                    self._quarantine_expired(run_id, cache, unit, worker_id)
+                    continue
+                path = leases_dir / unit.key
+                payload = {
+                    "unit": unit.to_dict(),
+                    "worker": worker_id,
+                    "expires_at": expires_at,
+                }
+                tmp = leases_dir / f".{uuid.uuid4().hex}.tmp"
+                tmp.write_text(json.dumps(payload, sort_keys=True))
+                try:
+                    os.link(tmp, path)  # atomic claim: EEXIST → another worker won
+                except OSError:
+                    continue
+                finally:
+                    self._unlink(tmp)
+                leases.append(
+                    Lease(
+                        run_id=run_id,
+                        unit=unit,
+                        worker_id=worker_id,
+                        expires_at=expires_at,
+                        path=path,
+                    )
                 )
+            return leases
+
+    def _quarantine_expired(
+        self, run_id: str, cache: _RunCache, unit: WorkUnit, worker_id: str
+    ) -> None:
+        """Journal a unit that outlived every lease attempt as quarantined."""
+        attempts = cache.requeues[unit.key]
+        with self._locked_view(run_id) as view:
+            recorded = view.record_quarantine(
+                unit, attempts=attempts, error=f"lease expired {attempts} times"
             )
-        return leases
+        if recorded:
+            self._event(run_id, "quarantine", key=unit.key, worker=worker_id)
 
     def heartbeat(self, lease: Lease) -> bool:
         """Extend a lease's TTL; returns False when the lease was lost.
@@ -410,15 +596,27 @@ class FileBroker:
                 fcntl.flock(fd, fcntl.LOCK_UN)
             os.close(fd)
 
+    @contextmanager
+    def _locked_view(self, run_id: str) -> Iterator[RunStore]:
+        """The run's view, caught up on the journal tail under the completion lock.
+
+        Every broker journal append takes this lock, so after the refresh the
+        view holds every record and ``record``'s key check is exactly-once.
+        """
+        with self._lock:
+            view = self._cache(run_id).open_view()
+            with self._journal_lock(run_id):
+                view.refresh()
+                yield view
+
     def complete(self, lease: Lease, outcome: CheckOutcome) -> bool:
         """Journal a leased unit's verdict exactly once; release the lease.
 
         Returns False when another worker already journaled the unit (its
         record wins; verdicts are deterministic so nothing is lost).
         """
-        with self._journal_lock(lease.run_id):
-            store = self.store(lease.run_id)  # fresh read inside the lock
-            recorded = store.record(lease.unit, outcome)
+        with self._locked_view(lease.run_id) as view:
+            recorded = view.record(lease.unit, outcome)
         self._unlink(lease.path)
         if recorded:
             self._event(
@@ -439,9 +637,8 @@ class FileBroker:
         degradation: tuple[str, ...] = (),
     ) -> bool:
         """Journal a leased unit as poison exactly once; release the lease."""
-        with self._journal_lock(lease.run_id):
-            store = self.store(lease.run_id)
-            recorded = store.record_quarantine(
+        with self._locked_view(lease.run_id) as view:
+            recorded = view.record_quarantine(
                 lease.unit, attempts=attempts, error=error, degradation=degradation
             )
         self._unlink(lease.path)
@@ -455,8 +652,8 @@ class FileBroker:
         self, run_id: str, category: str, message: str, detail: Mapping | None = None
     ) -> bool:
         """Journal a degraded-execution warning under the completion lock."""
-        with self._journal_lock(run_id):
-            return self.store(run_id).record_warning(category, message, detail)
+        with self._locked_view(run_id) as view:
+            return view.record_warning(category, message, detail)
 
     # ------------------------------------------------------------------ events
     def _event(self, run_id: str, kind: str, **payload) -> None:
@@ -475,43 +672,26 @@ class FileBroker:
         path = self._events_path(run_id)
         if not path.exists():
             return []
-        events: list[dict] = []
-        for line in path.read_text(errors="replace").split("\n"):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError:
-                continue
-            if isinstance(record, dict) and "event" in record:
-                events.append(record)
-        return events
+        lines = path.read_text(errors="replace").split("\n")
+        return [event for event in map(_parse_event, lines) if event is not None]
 
     # ------------------------------------------------------------------ status
     def run_status(self, run_id: str) -> RunStatus:
         """Read-only accounting of one run (does not sweep leases)."""
-        manifest = self.manifest(run_id)
-        store = self.store(run_id)
-        units = self.units(run_id)
-        quarantined = sum(
-            1
-            for record in store.quarantined_records()
-            if record.get("manifest") == manifest.manifest_hash
-        )
-        completed = sum(1 for unit in units if unit.key in store) - quarantined
-        live = self._live_leases(run_id)
-        leased = sum(1 for key in live if key not in store)
-        requeues = sum(1 for event in self.events(run_id) if event["event"] == "requeue")
-        return RunStatus(
-            run_id=run_id,
-            name=manifest.name,
-            experiment=manifest.experiment,
-            total=len(units),
-            completed=max(0, completed),
-            quarantined=quarantined,
-            leased=leased,
-            requeues=requeues,
-        )
+        with self._lock:
+            cache = self._current(run_id)
+            manifest = cache.manifest()
+            live = self._live_leases(run_id)
+            return RunStatus(
+                run_id=run_id,
+                name=manifest.name,
+                experiment=manifest.experiment,
+                total=len(cache.units),
+                completed=max(0, cache.journaled - cache.quarantined),
+                quarantined=cache.quarantined,
+                leased=sum(1 for key in live if key not in cache.view),
+                requeues=cache.requeue_total,
+            )
 
     def queue_depth(self) -> int:
         """Pending (neither journaled nor live-leased) units across all runs."""

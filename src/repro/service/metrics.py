@@ -5,9 +5,10 @@ journals (units completed, quarantines, per-check latency via
 ``CheckOutcome.duration_s``), event logs (lease requeues, completion
 timestamps for the units/s gauge) and lease files (in-flight units, queue
 depth) — so the numbers survive server restarts and reflect the whole fleet,
-not one process.  Process-local sources (HTTP request counters, rate-limit
-rejections, the design-database cache) come from the server's in-memory
-:class:`HttpCounters` and the process-wide
+not one process.  The broker tails the journals and event logs, so a scrape
+reads only what was appended since the previous one.  Process-local sources
+(HTTP request counters, rate-limit rejections, the design-database cache)
+come from the server's in-memory :class:`HttpCounters` and the process-wide
 :class:`~repro.verilog.design.DesignDatabase` stats.
 
 The exposition format is the Prometheus text format, version 0.0.4:
@@ -188,7 +189,7 @@ class ServiceMetrics:
             "Settling check-attempt latency of journaled units (p50/p90/p99).",
         )
 
-        now = self._clock()
+        since = self._clock() - self.rate_window_s
         total_depth = 0
         recent = 0
         latencies: list[float] = []
@@ -201,18 +202,8 @@ class ServiceMetrics:
             leased.add(status.leased, labels)
             pending.add(status.pending, labels)
             total_depth += status.pending
-            for event in self.broker.events(run_id):
-                if event["event"] != "complete":
-                    continue
-                if now - float(event.get("ts", 0.0)) <= self.rate_window_s:
-                    recent += 1
-            store = self.broker.store(run_id)
-            for record in store.records():
-                if record.get("kind", "unit") != "unit":
-                    continue
-                duration = record.get("outcome", {}).get("duration_s")
-                if duration:
-                    latencies.append(float(duration))
+            recent += self.broker.completions_since(run_id, since)
+            latencies.extend(self.broker.check_latencies(run_id))
         depth.add(total_depth)
         rate.add(recent / self.rate_window_s if self.rate_window_s else 0.0)
 

@@ -113,7 +113,8 @@ class ServiceWorker:
         engine = self._engines.get(run_id)
         if engine is None:
             manifest = self.broker.manifest(run_id)
-            engine = RunEngine(manifest, self.broker.store(run_id))
+            # The broker's own journal view: no second parsed copy per run.
+            engine = RunEngine(manifest, self.broker.view(run_id))
             self._engines[run_id] = engine
         return engine
 

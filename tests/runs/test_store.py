@@ -4,11 +4,16 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+import os
+import tempfile
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import repro.runs.store as store_module
 from repro.bench.jobs import CheckOutcome
 from repro.runs.manifest import WorkUnit
 from repro.runs.store import JOURNAL_FILENAME, RunStore, RunStoreError
@@ -309,3 +314,85 @@ class TestOpen:
         record = json.loads(lines[0])
         assert record["kind"] == "unit"
         assert record["outcome"]["functional_passed"] is True
+
+
+_STEPS = st.one_of(
+    st.tuples(st.just("append"), st.integers(0, 1), st.integers(0, 5)),
+    st.tuples(st.just("refresh"), st.integers(0, 1), st.just(0)),
+    st.tuples(st.just("torn"), st.just(0), st.integers(1, 40)),
+    st.tuples(st.just("truncate"), st.just(0), st.integers(0, 100)),
+    st.tuples(st.just("replace"), st.just(0), st.integers(0, 1)),
+)
+
+
+class TestTailParity:
+    """A refreshed store equals a freshly constructed one, step after step."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(_STEPS, min_size=1, max_size=14))
+    @example([("append", 0, 0), ("append", 1, 1), ("replace", 0, 1)])
+    @example([("append", 0, 0), ("append", 1, 1), ("refresh", 0, 0), ("torn", 0, 9)])
+    @example([("append", 0, 0), ("append", 0, 1), ("truncate", 0, 70), ("append", 1, 2)])
+    def test_refreshed_view_matches_fresh_store(self, steps):
+        with tempfile.TemporaryDirectory() as scratch:
+            directory = Path(scratch)
+            journal = directory / JOURNAL_FILENAME
+            writers = [RunStore(directory), RunStore(directory)]
+            view = RunStore(directory)
+            rewritten = False  # writers cannot see an in-place rewrite
+            for kind, who, amount in steps:
+                if kind == "append":
+                    writers[who].record(unit(amount), outcome(amount))
+                elif kind == "refresh":
+                    writers[who].refresh()
+                elif kind == "torn":
+                    line = json.dumps(
+                        {"kind": "unit", "key": "t" * 64, "outcome": {}}
+                    ).encode()
+                    with open(journal, "ab") as handle:
+                        handle.write(line[:amount])
+                elif kind == "truncate":
+                    size = journal.stat().st_size if journal.exists() else 0
+                    with open(journal, "ab") as handle:
+                        handle.truncate(size * amount // 100)
+                    rewritten = True
+                else:  # replace: all lines (same size) or half, reversed, in a new file
+                    lines = journal.read_bytes().splitlines(True) if journal.exists() else []
+                    kept = lines if amount else lines[: len(lines) // 2]
+                    tmp = directory / "journal.tmp"
+                    tmp.write_bytes(b"".join(reversed(kept)))
+                    os.replace(tmp, journal)
+                    rewritten = True
+
+                view.refresh()
+                fresh = RunStore(directory)
+                assert list(view.records()) == list(fresh.records())
+                assert view.completed_keys() == fresh.completed_keys()
+                assert view.recovered_lines == fresh.recovered_lines
+                if kind == "refresh" and not rewritten:
+                    writer = writers[who]
+                    assert writer.completed_keys() == fresh.completed_keys()
+                    assert writer.recovered_lines == fresh.recovered_lines
+
+    def test_refresh_reads_only_the_new_tail(self, tmp_path, monkeypatch):
+        view = RunStore(tmp_path)
+        writer = RunStore(tmp_path)
+        for index in range(5):
+            writer.record(unit(index), outcome(index))
+        view.refresh()
+        decoded = []
+
+        def loads(text, *args, **kwargs):
+            decoded.append(text)
+            return json.loads(text, *args, **kwargs)
+
+        monkeypatch.setattr(
+            store_module, "json", SimpleNamespace(loads=loads, dumps=json.dumps)
+        )
+        writer.record(unit(5), outcome(5))
+        view.refresh()
+        assert len(decoded) == 1
+        assert len(view) == 6
+        # The writer stepped over its own appends instead of re-reading them.
+        writer.refresh()
+        assert len(decoded) == 1

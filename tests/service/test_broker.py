@@ -9,12 +9,22 @@ deterministic.
 from __future__ import annotations
 
 import json
+import sys
+import threading
+from types import SimpleNamespace
 
 import pytest
 
+import repro.runs.store as store_module
 from repro.bench.jobs import CheckOutcome
 from repro.runs.store import JOURNAL_FILENAME
-from repro.service.broker import AdmissionError, BrokerError, FileBroker
+from repro.service import ServiceWorker
+from repro.service.broker import (
+    MAX_LEASE_ATTEMPTS,
+    AdmissionError,
+    BrokerError,
+    FileBroker,
+)
 from conftest import small_manifest
 
 
@@ -202,3 +212,137 @@ class TestQueueDepth:
         assert broker.queue_depth() == total - 1
         broker.complete(lease, outcome(lease.unit))
         assert broker.queue_depth() == total - 1
+
+
+class TestLeaseAttemptCap:
+    def test_unit_quarantined_after_max_lease_expiries(self, broker, queued, clock):
+        run_id, units = queued
+        for attempt in range(MAX_LEASE_ATTEMPTS):
+            lease = broker.lease(run_id, f"worker-{attempt}", limit=1)[0]
+            assert lease.unit == units[0]
+            clock.advance(11.0)  # the holder goes silent; its lease expires
+
+        leased = broker.lease(run_id, "worker-x", limit=len(units))
+        assert [lease.unit for lease in leased] == units[1:]
+        [record] = broker.store(run_id).quarantined_records()
+        assert record["key"] == units[0].key
+        assert record["quarantine"]["attempts"] == MAX_LEASE_ATTEMPTS
+        assert record["quarantine"]["error"] == (
+            f"lease expired {MAX_LEASE_ATTEMPTS} times"
+        )
+        events = broker.events(run_id)
+        assert [e["key"] for e in events if e["event"] == "quarantine"] == [units[0].key]
+
+        for lease in leased:
+            assert broker.complete(lease, outcome(lease.unit))
+        clock.advance(100.0)
+        assert broker.lease(run_id, "worker-y", limit=len(units)) == []
+        status = broker.run_status(run_id)
+        assert status.requeues == MAX_LEASE_ATTEMPTS
+        assert status.quarantined == 1
+        assert status.complete
+        assert status.exit_code == 4
+
+
+class TestStaleView:
+    def test_stale_view_never_double_journals(self, tmp_path, clock):
+        """A's warm view misses B's completion: the lock still catches it."""
+        a = FileBroker(tmp_path / "broker", lease_ttl_s=10.0, clock=clock)
+        b = FileBroker(tmp_path / "broker", lease_ttl_s=10.0, clock=clock)
+        run_id = a.submit(small_manifest()).run_id
+        units = a.units(run_id)
+        stale = a.lease(run_id, "worker-a", limit=1)[0]
+        assert a.run_status(run_id).leased == 1  # A's view is warm
+
+        clock.advance(11.0)
+        fresh = b.lease(run_id, "worker-b", limit=1)[0]
+        assert fresh.unit == stale.unit
+        assert b.complete(fresh, outcome(fresh.unit))
+
+        assert not a.complete(stale, outcome(stale.unit))
+        journal = a.store_dir(run_id) / JOURNAL_FILENAME
+        keys = [json.loads(line)["key"] for line in journal.read_text().splitlines()]
+        assert keys == [stale.unit.key]
+        leased = a.lease(run_id, "worker-a", limit=len(units))
+        assert stale.unit.key not in {lease.unit.key for lease in leased}
+        assert len(leased) == len(units) - 1
+
+
+class TestIncrementalWork:
+    def test_drain_decodes_each_journal_record_a_bounded_number_of_times(
+        self, tmp_path, monkeypatch
+    ):
+        """Re-reading the journal per lease and completion grows as ~N²/2."""
+        directory = tmp_path / "broker"
+        run_id = FileBroker(directory).submit(small_manifest(num_samples=4)).run_id
+        decoded = []
+
+        def loads(text, *args, **kwargs):
+            decoded.append(text)
+            return json.loads(text, *args, **kwargs)
+
+        monkeypatch.setattr(
+            store_module, "json", SimpleNamespace(loads=loads, dumps=json.dumps)
+        )
+        broker = FileBroker(directory)
+        total = len(broker.units(run_id))
+        stats = ServiceWorker(
+            broker, "linear-worker", lease_limit=1, exit_when_idle=True
+        ).run_forever()
+        assert stats.completed == total
+        assert broker.run_status(run_id).complete
+        assert len(decoded) <= 2 * total
+
+
+class TestThreadedBroker:
+    def test_threads_sharing_one_broker_journal_each_unit_once(self, tmp_path):
+        """The HTTP server calls one broker from many threads at once."""
+        broker = FileBroker(tmp_path / "broker", lease_ttl_s=60.0)
+        run_id = broker.submit(small_manifest(num_samples=16)).run_id
+        total = len(broker.units(run_id))
+        completed: list[str] = []
+        errors: list[BaseException] = []
+        done = threading.Event()
+
+        def drain(worker_id: str) -> None:
+            try:
+                while leases := broker.lease(run_id, worker_id, limit=1):
+                    for lease in leases:
+                        if broker.complete(lease, outcome(lease.unit)):
+                            completed.append(lease.unit.key)
+            except BaseException as error:  # surfaced by the assertion below
+                errors.append(error)
+
+        def poll() -> None:
+            try:
+                while not done.is_set():
+                    broker.run_status(run_id)
+                    broker.check_latencies(run_id)
+                    broker.completions_since(run_id, 0.0)
+            except BaseException as error:
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pollers = [threading.Thread(target=poll) for _ in range(4)]
+            drainers = [
+                threading.Thread(target=drain, args=(f"worker-{index}",))
+                for index in range(4)
+            ]
+            for thread in pollers + drainers:
+                thread.start()
+            for thread in drainers:
+                thread.join(timeout=60)
+            done.set()
+            for thread in pollers:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in pollers + drainers)
+        assert errors == []
+        assert sorted(completed) == sorted(unit.key for unit in broker.units(run_id))
+        status = broker.run_status(run_id)
+        assert (status.completed, status.leased, status.pending) == (total, 0, 0)
+        assert len(broker.check_latencies(run_id)) == total
+        assert broker.completions_since(run_id, 0.0) == total

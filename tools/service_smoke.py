@@ -4,13 +4,17 @@ The CI ``service-smoke`` job (and ``make service-smoke``) runs this script.
 It boots the HTTP API and a worker as real subprocesses, submits a tiny
 manifest over HTTP, SIGKILLs the worker while the ``REPRO_SERVICE_STALL_S``
 fault hook has it frozen holding leases, and lets a second worker finish the
-run.  It then asserts the service contract:
+run.  While the survivor drains, the smoke polls the run's status, report and
+``/metrics``, so the server's broker holds warm per-run views that must keep
+up with another process's appends.  It then asserts the service contract:
 
 * every lease the dead worker held expired and was requeued — exactly that
   many ``requeue`` events, no more;
 * the run completed healthy (every unit journaled exactly once);
 * ``/metrics`` parses and reports the exact requeue count and a nonzero
-  units/s throughput.
+  units/s throughput;
+* ``GET /runs/<id>/report`` equals the report a fresh ``RunStore`` over the
+  same journal renders.
 
 Exit code 0 on success; any broken assertion or timeout fails the job.
 """
@@ -31,6 +35,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 LEASE_TTL_S = 2.0
 STALLED_LEASES = 2
+#: Seconds between status/report polls; stays under the API's rate limit.
+POLL_S = 0.5
 
 
 def log(message: str) -> None:
@@ -59,11 +65,37 @@ def wait_for(predicate, *, timeout_s: float, what: str):
     raise TimeoutError(f"timed out after {timeout_s}s waiting for {what}")
 
 
-def http_json(url: str, data: bytes | None = None) -> dict:
+def http_text(url: str, data: bytes | None = None) -> str:
     with urllib.request.urlopen(
         urllib.request.Request(url, data=data), timeout=15
     ) as response:
-        return json.load(response)
+        return response.read().decode()
+
+
+def http_json(url: str, data: bytes | None = None) -> dict:
+    return json.loads(http_text(url, data))
+
+
+def fresh_report(store_dir: Path) -> str:
+    """The report StreamingAggregator renders from a fresh RunStore."""
+    render = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys\n"
+            "from repro.runs.aggregate import StreamingAggregator\n"
+            "from repro.runs.store import RunStore\n"
+            "store = RunStore(sys.argv[1])\n"
+            "aggregator = StreamingAggregator(store.load_manifest())\n"
+            "sys.stdout.write(aggregator.feed_store(store).report())",
+            str(store_dir),
+        ],
+        env=service_env(),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return render.stdout
 
 
 def main() -> int:
@@ -147,7 +179,19 @@ def main() -> int:
             env=service_env(),
         )
         procs.append(survivor)
-        assert survivor.wait(timeout=600) == 0, "survivor worker failed"
+        deadline = time.monotonic() + 600
+        polls = 0
+        while survivor.poll() is None:
+            if time.monotonic() > deadline:
+                raise TimeoutError("survivor worker did not drain the run")
+            http_json(f"{base_url}/runs/{run_id}")
+            http_text(f"{base_url}/runs/{run_id}/report")
+            http_text(base_url + "/metrics")
+            polls += 1
+            time.sleep(POLL_S)
+        assert survivor.returncode == 0, "survivor worker failed"
+        assert polls > 0, "the survivor finished before the server was polled"
+        log(f"polled status, report and metrics {polls} time(s) during the drain")
 
         status = http_json(f"{base_url}/runs/{run_id}")
         log(
@@ -173,6 +217,13 @@ def main() -> int:
         ]
         assert rate and rate[0] > 0, f"units/s not positive: {rate}"
         log(f"metrics ok: {requeue_line}; units/s={rate[0]}")
+
+        # --- the warm report equals a fresh render of the journal ----------
+        served = http_text(f"{base_url}/runs/{run_id}/report")
+        served = served[: served.rindex("\n\n[rendered from ")]
+        expected = fresh_report(broker_dir / "runs" / run_id / "store")
+        assert served == expected, "served report differs from a fresh render"
+        log("report ok: matches a fresh RunStore render")
         log("PASS")
         return 0
     finally:
