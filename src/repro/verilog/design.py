@@ -15,7 +15,8 @@ them re-ran that pipeline per call, so a pass@k sweep paid the front-end cost
 
 * the parsed module AST (treated as immutable by every consumer);
 * the elaborated *template* design — resolved parameters, port map, initial
-  signal values, process list;
+  signal values, process list and the scalar scheduler's index of which
+  signals each process reads and writes;
 * derived analyses computed once: sequential/latch-risk classification,
   undef-source taint, clock/reset inference;
 * :meth:`CompiledDesign.elaborate` clones the template's signal store in O(#
@@ -59,15 +60,16 @@ from .errors import ParseError, VerilogError
 from .parser import parse_source
 from .codegen import CodegenArtifact
 from .codegen import generate as _generate_codegen
-from .simulator.scheduler import ProcessKind, SignalStore
+from .simulator.scheduler import ProcessKind, SignalStore, _assignment_sets
 from .simulator.simulator import ElaboratedModule, PortInfo, elaborate_module
 
 #: Bump when the pickled on-disk layout changes; stale entries are recompiled.
 #: The version is embedded in the on-disk *file name* (see ``_disk_path``), so
-#: a layout change — like v2's codegen artifact, or v3's wire initialisers
-#: elaborated as continuous assigns — invalidates old entries by key rather
-#: than surfacing as unpickle errors or silently missing fields.
-DISK_FORMAT_VERSION = 3
+#: a layout change — like v2's codegen artifact, v3's wire initialisers
+#: elaborated as continuous assigns, or v4's scheduling index on the template —
+#: invalidates old entries by key rather than surfacing as unpickle errors or
+#: silently missing fields.
+DISK_FORMAT_VERSION = 4
 
 #: Conventional clock/reset input names used by the inference analyses (the
 #: same conventions :mod:`repro.verilog.analyzer` and the bench families use).
@@ -155,8 +157,8 @@ class CompiledDesign:
 
         The signal store is cloned (values are immutable
         :class:`~repro.verilog.simulator.values.LogicVector` instances, so two
-        dict copies suffice); ports, parameters, processes and functions are
-        shared read-only.
+        dict copies suffice); ports, parameters, processes, functions and the
+        scheduling index are shared read-only.
         """
         template = self.template
         store = SignalStore(
@@ -169,6 +171,7 @@ class CompiledDesign:
             store=store,
             processes=template.processes,
             functions=template.functions,
+            schedule=template.schedule,
         )
 
 
@@ -484,8 +487,6 @@ def _select_module(design_file: ast.SourceFile, name: str | None) -> ast.Module:
 
 def _latch_risk(template: ElaboratedModule) -> bool:
     """Whether any level-sensitive always block may hold state (inferred latch)."""
-    from .simulator.batch import _assignment_sets
-
     for process in template.processes:
         if process.kind is not ProcessKind.COMBINATIONAL or process.label != "always":
             continue
@@ -501,8 +502,6 @@ def _undef_sources(template: ElaboratedModule) -> frozenset[str]:
     These stay ``x`` forever, so any output in their cone is undef-tainted —
     the same signals the formal front end turns into tagged undef inputs.
     """
-    from .simulator.batch import _assignment_sets
-
     assigned: set[str] = set()
     for process in template.processes:
         maybe, _ = _assignment_sets(process.body)

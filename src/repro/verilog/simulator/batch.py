@@ -32,7 +32,7 @@ from typing import Mapping, Sequence, Union
 from ...deadline import check_deadline
 from .. import ast_nodes as ast
 from ..errors import SimulationError
-from .scheduler import BatchSignalStore, BatchStatementExecutor, ProcessKind
+from .scheduler import BatchSignalStore, BatchStatementExecutor, ProcessKind, _assignment_sets
 from .simulator import MAX_SETTLE_ITERATIONS, elaborate_module
 from .values import BatchVector, LogicVector
 
@@ -320,74 +320,6 @@ class BatchSimulator:
     def display_log(self) -> list[str]:
         """Messages produced by ``$display``-style system tasks."""
         return self.executor.display_log
-
-
-def _assignment_sets(statement: ast.Statement | None) -> tuple[set[str], set[str]]:
-    """``(maybe-assigned, definitely-assigned)`` signal names for a statement.
-
-    Conservative latch analysis: partial writes (bit/part selects) and loop
-    bodies never count as *definite*; an ``if`` without ``else`` or a ``case``
-    without ``default`` makes nothing definite.
-    """
-    if statement is None or isinstance(statement, ast.NullStatement):
-        return set(), set()
-    if isinstance(statement, ast.Block):
-        maybe: set[str] = set()
-        definite: set[str] = set()
-        for inner in statement.statements:
-            inner_maybe, inner_definite = _assignment_sets(inner)
-            maybe |= inner_maybe
-            definite |= inner_definite
-        return maybe, definite
-    if isinstance(statement, (ast.BlockingAssign, ast.NonBlockingAssign)):
-        target = statement.target
-        if isinstance(target, ast.Identifier):
-            return {target.name}, {target.name}
-        if isinstance(target, ast.Concat):
-            maybe = set()
-            definite = set()
-            for part in target.parts:
-                part_maybe, part_definite = _assignment_sets(
-                    ast.BlockingAssign(target=part, value=statement.value)
-                )
-                maybe |= part_maybe
-                definite |= part_definite
-            return maybe, definite
-        if isinstance(target, (ast.BitSelect, ast.PartSelect)):
-            base = target.target
-            while isinstance(base, (ast.BitSelect, ast.PartSelect)):
-                base = base.target
-            name = base.name if isinstance(base, ast.Identifier) else None
-            return ({name} if name else set()), set()
-        return set(), set()
-    if isinstance(statement, ast.IfStatement):
-        then_maybe, then_definite = _assignment_sets(statement.then_branch)
-        else_maybe, else_definite = _assignment_sets(statement.else_branch)
-        definite = then_definite & else_definite if statement.else_branch is not None else set()
-        return then_maybe | else_maybe, definite
-    if isinstance(statement, ast.CaseStatement):
-        maybe = set()
-        definite: set[str] | None = None
-        has_default = False
-        for item in statement.items:
-            item_maybe, item_definite = _assignment_sets(item.body)
-            maybe |= item_maybe
-            definite = item_definite if definite is None else definite & item_definite
-            has_default |= item.is_default
-        if definite is None or not has_default:
-            definite = set()
-        return maybe, definite
-    if isinstance(statement, (ast.ForLoop, ast.WhileLoop, ast.RepeatLoop)):
-        body_maybe, _ = _assignment_sets(statement.body)
-        extra: set[str] = set()
-        if isinstance(statement, ast.ForLoop):
-            init_maybe, _ = _assignment_sets(statement.init)
-            step_maybe, _ = _assignment_sets(statement.step)
-            extra = init_maybe | step_maybe
-        return body_maybe | extra, set()
-    if isinstance(statement, (ast.DelayStatement, ast.EventWait)):
-        return _assignment_sets(statement.body)
-    return set(), set()
 
 
 def simulate_combinational_batch(

@@ -64,10 +64,16 @@ class Process:
 
 @dataclass
 class SignalStore:
-    """Mutable value store for all signals of an elaborated module."""
+    """Mutable value store for all signals of an elaborated module.
+
+    Every write that changes a value adds the signal's name to ``changed``;
+    the scalar scheduler drains that set to decide which combinational
+    processes must run again.
+    """
 
     widths: dict[str, int] = field(default_factory=dict)
     values: dict[str, LogicVector] = field(default_factory=dict)
+    changed: set[str] = field(default_factory=set)
 
     def declare(self, name: str, width: int, initial: LogicVector | None = None) -> None:
         """Declare a signal with the given width, defaulting to all-x."""
@@ -86,11 +92,153 @@ class SignalStore:
         resized = value.resized(self.widths[name])
         changed = resized != self.values[name]
         self.values[name] = resized
+        if changed:
+            self.changed.add(name)
         return changed
 
-    def snapshot(self) -> dict[str, LogicVector]:
-        """Return a shallow copy of the current values."""
-        return dict(self.values)
+
+@dataclass(frozen=True)
+class ScheduleIndex:
+    """Which processes the scalar scheduler must run, computed once per design.
+
+    Built at elaboration and shared by every clone of a design template.
+    Combinational processes are numbered in declaration order.
+    """
+
+    combinational: tuple[Process, ...]
+    #: Per combinational process: every signal it may write.
+    writes: tuple[tuple[str, ...], ...]
+    #: Per combinational process: whether it runs on every sweep.  A user
+    #: function body may read any signal and a system task logs each run,
+    #: so neither can be skipped.
+    volatile: tuple[bool, ...]
+    #: Signal name -> the combinational processes that read or write it.
+    watchers: dict[str, tuple[int, ...]]
+    sequential: tuple[Process, ...]
+    #: ``(edge, signal)`` -> the sequential processes it triggers, as indices
+    #: into ``sequential`` in declaration order.
+    triggers: dict[tuple[ast.EdgeKind, str], tuple[int, ...]]
+
+    @classmethod
+    def build(cls, processes: list[Process]) -> "ScheduleIndex":
+        combinational = tuple(p for p in processes if p.kind is ProcessKind.COMBINATIONAL)
+        sequential = tuple(p for p in processes if p.kind is ProcessKind.SEQUENTIAL)
+        writes: list[tuple[str, ...]] = []
+        volatile: list[bool] = []
+        watchers: dict[str, list[int]] = {}
+        for index, process in enumerate(combinational):
+            maybe, _ = _assignment_sets(process.body)
+            names, calls = _referenced_names(process.body)
+            writes.append(tuple(sorted(maybe)))
+            volatile.append(calls)
+            for name in names | maybe:
+                watchers.setdefault(name, []).append(index)
+        triggers: dict[tuple[ast.EdgeKind, str], list[int]] = {}
+        for index, process in enumerate(sequential):
+            for edge in dict.fromkeys(process.edge_signals()):
+                triggers.setdefault(edge, []).append(index)
+        return cls(
+            combinational=combinational,
+            writes=tuple(writes),
+            volatile=tuple(volatile),
+            watchers={name: tuple(indices) for name, indices in watchers.items()},
+            sequential=sequential,
+            triggers={edge: tuple(indices) for edge, indices in triggers.items()},
+        )
+
+
+def _referenced_names(statement: ast.Statement | None) -> tuple[set[str], bool]:
+    """Every identifier under ``statement``, and whether it calls a user
+    function or a system task."""
+    names: set[str] = set()
+    calls = False
+    stack: list[object] = [statement]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, list):
+            stack.extend(node)
+        elif isinstance(node, _AST_NODES):
+            if isinstance(node, ast.Identifier):
+                names.add(node.name)
+            elif isinstance(node, ast.SystemTaskCall) or (
+                isinstance(node, ast.FunctionCall) and not node.name.startswith("$")
+            ):
+                calls = True
+            # Reading fields by name: ``vars(node)`` would give every node a
+            # real ``__dict__`` that lives as long as the AST.
+            stack.extend(getattr(node, name) for name in node.__dataclass_fields__)
+    return names, calls
+
+
+_AST_NODES = (ast.Expression, ast.Statement, ast.CaseItem, ast.SensitivityItem)
+
+
+def _assignment_sets(statement: ast.Statement | None) -> tuple[set[str], set[str]]:
+    """``(maybe-assigned, definitely-assigned)`` signal names for a statement.
+
+    Conservative latch analysis: partial writes (bit/part selects) and loop
+    bodies never count as *definite*; an ``if`` without ``else`` or a ``case``
+    without ``default`` makes nothing definite.
+    """
+    if statement is None or isinstance(statement, ast.NullStatement):
+        return set(), set()
+    if isinstance(statement, ast.Block):
+        maybe: set[str] = set()
+        definite: set[str] = set()
+        for inner in statement.statements:
+            inner_maybe, inner_definite = _assignment_sets(inner)
+            maybe |= inner_maybe
+            definite |= inner_definite
+        return maybe, definite
+    if isinstance(statement, (ast.BlockingAssign, ast.NonBlockingAssign)):
+        target = statement.target
+        if isinstance(target, ast.Identifier):
+            return {target.name}, {target.name}
+        if isinstance(target, ast.Concat):
+            maybe = set()
+            definite = set()
+            for part in target.parts:
+                part_maybe, part_definite = _assignment_sets(
+                    ast.BlockingAssign(target=part, value=statement.value)
+                )
+                maybe |= part_maybe
+                definite |= part_definite
+            return maybe, definite
+        if isinstance(target, (ast.BitSelect, ast.PartSelect)):
+            base = target.target
+            while isinstance(base, (ast.BitSelect, ast.PartSelect)):
+                base = base.target
+            name = base.name if isinstance(base, ast.Identifier) else None
+            return ({name} if name else set()), set()
+        return set(), set()
+    if isinstance(statement, ast.IfStatement):
+        then_maybe, then_definite = _assignment_sets(statement.then_branch)
+        else_maybe, else_definite = _assignment_sets(statement.else_branch)
+        definite = then_definite & else_definite if statement.else_branch is not None else set()
+        return then_maybe | else_maybe, definite
+    if isinstance(statement, ast.CaseStatement):
+        maybe = set()
+        definite: set[str] | None = None
+        has_default = False
+        for item in statement.items:
+            item_maybe, item_definite = _assignment_sets(item.body)
+            maybe |= item_maybe
+            definite = item_definite if definite is None else definite & item_definite
+            has_default |= item.is_default
+        if definite is None or not has_default:
+            definite = set()
+        return maybe, definite
+    if isinstance(statement, (ast.ForLoop, ast.WhileLoop, ast.RepeatLoop)):
+        body_maybe, _ = _assignment_sets(statement.body)
+        extra: set[str] = set()
+        if isinstance(statement, ast.ForLoop):
+            init_maybe, _ = _assignment_sets(statement.init)
+            step_maybe, _ = _assignment_sets(statement.step)
+            extra = init_maybe | step_maybe
+        return body_maybe | extra, set()
+    if isinstance(statement, (ast.DelayStatement, ast.EventWait)):
+        return _assignment_sets(statement.body)
+    return set(), set()
 
 
 class StatementExecutor:
@@ -107,27 +255,25 @@ class StatementExecutor:
         self.functions = functions
         self.nonblocking_updates: list[tuple[ast.Expression, LogicVector]] = []
         self.display_log: list[str] = []
+        # Expressions read the live store: evaluation never writes it (a
+        # function body runs against its own local store), so no copy is needed.
+        self.evaluator = ExpressionEvaluator(
+            EvalContext(
+                signals=store.values,
+                parameters=parameters,
+                functions=functions,
+                function_evaluator=self._call_function,
+            )
+        )
 
     # ------------------------------------------------------------------ evaluation plumbing
-    def _make_evaluator(self, local_signals: dict[str, LogicVector] | None = None) -> ExpressionEvaluator:
-        signals = dict(self.store.values)
-        if local_signals:
-            signals.update(local_signals)
-        context = EvalContext(
-            signals=signals,
-            parameters=self.parameters,
-            functions=self.functions,
-            function_evaluator=self._call_function,
-        )
-        return ExpressionEvaluator(context)
-
     def _call_function(self, name: str, args: list[LogicVector]) -> LogicVector:
         function = self.functions.get(name)
         if function is None:
             raise SimulationError(f"call to unknown function {name!r}")
         width = 1
         if function.range is not None:
-            evaluator = self._make_evaluator()
+            evaluator = self.evaluator
             msb = evaluator.evaluate_constant(function.range.msb)
             lsb = evaluator.evaluate_constant(function.range.lsb)
             width = abs(msb - lsb) + 1
@@ -138,7 +284,7 @@ class StatementExecutor:
             for input_name in declaration.names:
                 input_width = 1
                 if declaration.range is not None:
-                    evaluator = self._make_evaluator()
+                    evaluator = self.evaluator
                     msb = evaluator.evaluate_constant(declaration.range.msb)
                     lsb = evaluator.evaluate_constant(declaration.range.lsb)
                     input_width = abs(msb - lsb) + 1
@@ -149,7 +295,7 @@ class StatementExecutor:
             for local_name in declaration.names:
                 local_width = 1
                 if declaration.range is not None:
-                    evaluator = self._make_evaluator()
+                    evaluator = self.evaluator
                     msb = evaluator.evaluate_constant(declaration.range.msb)
                     lsb = evaluator.evaluate_constant(declaration.range.lsb)
                     local_width = abs(msb - lsb) + 1
@@ -175,18 +321,18 @@ class StatementExecutor:
                 self.execute(inner, allow_nonblocking)
             return
         if isinstance(statement, ast.BlockingAssign):
-            value = self._make_evaluator().evaluate(statement.value)
+            value = self.evaluator.evaluate(statement.value)
             self._assign(statement.target, value)
             return
         if isinstance(statement, ast.NonBlockingAssign):
-            value = self._make_evaluator().evaluate(statement.value)
+            value = self.evaluator.evaluate(statement.value)
             if allow_nonblocking:
                 self.nonblocking_updates.append((statement.target, value))
             else:
                 self._assign(statement.target, value)
             return
         if isinstance(statement, ast.IfStatement):
-            condition = self._make_evaluator().evaluate(statement.condition).is_true()
+            condition = self.evaluator.evaluate(statement.condition).is_true()
             if condition is True:
                 self.execute(statement.then_branch, allow_nonblocking)
             elif condition is False:
@@ -204,7 +350,7 @@ class StatementExecutor:
         if isinstance(statement, ast.WhileLoop):
             iterations = 0
             while True:
-                condition = self._make_evaluator().evaluate(statement.condition).is_true()
+                condition = self.evaluator.evaluate(statement.condition).is_true()
                 if condition is not True:
                     break
                 self.execute(statement.body, allow_nonblocking)
@@ -213,7 +359,7 @@ class StatementExecutor:
                     raise SimulationError("while loop exceeded the iteration limit")
             return
         if isinstance(statement, ast.RepeatLoop):
-            count_value = self._make_evaluator().evaluate(statement.count)
+            count_value = self.evaluator.evaluate(statement.count)
             count = count_value.to_int_or(0)
             if count > MAX_LOOP_ITERATIONS:
                 raise SimulationError("repeat loop exceeded the iteration limit")
@@ -245,7 +391,7 @@ class StatementExecutor:
 
     # ------------------------------------------------------------------ helpers
     def _execute_case(self, statement: ast.CaseStatement, allow_nonblocking: bool) -> None:
-        evaluator = self._make_evaluator()
+        evaluator = self.evaluator
         subject = evaluator.evaluate(statement.subject)
         default_item: ast.CaseItem | None = None
         for item in statement.items:
@@ -254,34 +400,17 @@ class StatementExecutor:
                 continue
             for expression in item.expressions:
                 candidate = evaluator.evaluate(expression)
-                if self._case_matches(statement.kind, subject, candidate):
+                if _case_matches(statement.kind, subject, candidate):
                     self.execute(item.body, allow_nonblocking)
                     return
         if default_item is not None:
             self.execute(default_item.body, allow_nonblocking)
 
-    def _case_matches(self, kind: str, subject: LogicVector, candidate: LogicVector) -> bool:
-        width = max(subject.width, candidate.width)
-        subject = subject.resized(width)
-        candidate = candidate.resized(width)
-        for index in range(width):
-            subject_bit = subject.bit(index)
-            candidate_bit = candidate.bit(index)
-            if kind == "casez":
-                if candidate_bit == "z" or subject_bit == "z":
-                    continue
-            elif kind == "casex":
-                if candidate_bit in "xz" or subject_bit in "xz":
-                    continue
-            if subject_bit != candidate_bit:
-                return False
-        return True
-
     def _execute_for(self, statement: ast.ForLoop, allow_nonblocking: bool) -> None:
         self.execute(statement.init, allow_nonblocking)
         iterations = 0
         while True:
-            condition = self._make_evaluator().evaluate(statement.condition).is_true()
+            condition = self.evaluator.evaluate(statement.condition).is_true()
             if condition is not True:
                 break
             self.execute(statement.body, allow_nonblocking)
@@ -293,7 +422,7 @@ class StatementExecutor:
     def _execute_system_task(self, statement: ast.SystemTaskCall) -> None:
         if statement.name in ("$display", "$write", "$monitor", "$strobe"):
             rendered: list[str] = []
-            evaluator = self._make_evaluator()
+            evaluator = self.evaluator
             for argument in statement.args:
                 if isinstance(argument, ast.StringLiteral):
                     rendered.append(argument.value)
@@ -310,7 +439,7 @@ class StatementExecutor:
             return self.store.set(target.name, value)
         if isinstance(target, ast.BitSelect):
             name = _target_name(target)
-            index_value = self._make_evaluator().evaluate(target.index)
+            index_value = self.evaluator.evaluate(target.index)
             if index_value.has_unknown:
                 return False
             index = index_value.to_int()
@@ -318,7 +447,7 @@ class StatementExecutor:
             return self.store.set(name, current.replaced(index, index, value))
         if isinstance(target, ast.PartSelect):
             name = _target_name(target)
-            evaluator = self._make_evaluator()
+            evaluator = self.evaluator
             current = self.store.get(name)
             if target.mode == ":":
                 msb = evaluator.evaluate_constant(target.msb)
@@ -352,7 +481,7 @@ class StatementExecutor:
         if isinstance(target, ast.BitSelect):
             return 1
         if isinstance(target, ast.PartSelect):
-            evaluator = self._make_evaluator()
+            evaluator = self.evaluator
             if target.mode == ":":
                 msb = evaluator.evaluate_constant(target.msb)
                 lsb = evaluator.evaluate_constant(target.lsb)
@@ -361,6 +490,22 @@ class StatementExecutor:
         if isinstance(target, ast.Concat):
             return sum(self._target_width(part) for part in target.parts)
         raise SimulationError(f"unsupported assignment target {type(target).__name__}")
+
+
+def _case_matches(kind: str, subject: LogicVector, candidate: LogicVector) -> bool:
+    """Whether a case item matches its subject, all bits at once.
+
+    Zero-extending the narrower operand adds bits that are 0 on both planes,
+    so the raw planes compare directly.  ``casez`` skips bits that are z on
+    either side and ``casex`` bits that are x or z, the same skip masks as
+    :meth:`BatchStatementExecutor._case_match_mask`.
+    """
+    differ = (subject.value ^ candidate.value) | (subject.xz_mask ^ candidate.xz_mask)
+    if differ and kind == "casez":
+        differ &= ~((subject.xz_mask & subject.value) | (candidate.xz_mask & candidate.value))
+    elif differ and kind == "casex":
+        differ &= ~(subject.xz_mask | candidate.xz_mask)
+    return not differ
 
 
 def _target_name(expression: ast.Expression) -> str:
@@ -461,7 +606,7 @@ class BatchStatementExecutor:
             scalar_store.widths[name] = width
             scalar_store.values[name] = self.store.values[name].lane(lane)
         scalar_executor = StatementExecutor(scalar_store, self.parameters, self.functions)
-        return scalar_executor._make_evaluator()
+        return scalar_executor.evaluator
 
     # ------------------------------------------------------------------ statement execution
     def execute(

@@ -42,8 +42,12 @@ class LogicVector:
     def __post_init__(self) -> None:
         if self.width < 1:
             raise ValueError("LogicVector width must be >= 1")
-        object.__setattr__(self, "value", self.value & _mask(self.width))
-        object.__setattr__(self, "xz_mask", self.xz_mask & _mask(self.width))
+        mask = _mask(self.width)
+        # Most values arrive already in range; only rewrite the ones that do not.
+        if not 0 <= self.value <= mask:
+            object.__setattr__(self, "value", self.value & mask)
+        if not 0 <= self.xz_mask <= mask:
+            object.__setattr__(self, "xz_mask", self.xz_mask & mask)
 
     # ------------------------------------------------------------------ constructors
     @classmethod

@@ -3,9 +3,16 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.verilog.errors import ElaborationError, SimulationError
-from repro.verilog.simulator.simulator import ModuleSimulator, simulate_combinational
+from repro.verilog.simulator.scheduler import _case_matches
+from repro.verilog.simulator.simulator import (
+    MAX_SIGNAL_WIDTH,
+    ModuleSimulator,
+    simulate_combinational,
+)
+from repro.verilog.simulator.values import LogicVector
 
 
 class TestElaboration:
@@ -378,3 +385,135 @@ class TestNetDeclarationAssignment:
         )
         simulator.apply_inputs({"a": 3})
         assert simulator.get_int("y") == 5
+
+
+def _case_matches_bitwise(kind: str, subject: LogicVector, candidate: LogicVector) -> bool:
+    """Reference case-item match: the bit-by-bit loop word-wide matching replaced."""
+    width = max(subject.width, candidate.width)
+    subject = subject.resized(width)
+    candidate = candidate.resized(width)
+    for index in range(width):
+        subject_bit = subject.bit(index)
+        candidate_bit = candidate.bit(index)
+        if kind == "casez":
+            if candidate_bit == "z" or subject_bit == "z":
+                continue
+        elif kind == "casex":
+            if candidate_bit in "xz" or subject_bit in "xz":
+                continue
+        if subject_bit != candidate_bit:
+            return False
+    return True
+
+
+_four_state = st.text(alphabet="01xz", min_size=1, max_size=12).map(LogicVector.from_string)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(["case", "casez", "casex"]), _four_state, _four_state)
+def test_word_wide_case_match_equals_the_bit_loop(kind, subject, candidate):
+    assert _case_matches(kind, subject, candidate) == _case_matches_bitwise(kind, subject, candidate)
+
+
+class TestEventDrivenSettle:
+    """Settle skips only processes whose run would leave the store as it is."""
+
+    def test_two_drivers_of_one_wire_still_do_not_settle(self):
+        simulator = ModuleSimulator.from_source(
+            "module m(input a, input b, output w); assign w = a; assign w = b; endmodule"
+        )
+        simulator.apply_inputs({"a": 1, "b": 1})
+        assert simulator.get_int("w") == 1
+        with pytest.raises(SimulationError, match="did not settle"):
+            simulator.apply_inputs({"b": 0})
+
+    def test_self_inverting_assign_still_does_not_settle(self):
+        simulator = ModuleSimulator.from_source(
+            "module m(input a, output y); assign y = a ? ~y : 1'b0; endmodule"
+        )
+        simulator.apply_inputs({"a": 0})
+        assert simulator.get_int("y") == 0
+        with pytest.raises(SimulationError, match="did not settle"):
+            simulator.apply_inputs({"a": 1})
+
+    def test_display_in_always_star_logs_once_per_sweep(self):
+        # The display block precedes the assign it reads, so most changes take
+        # several sweeps; it must log on each one.  The counts were recorded
+        # with the simulator that ran every process on every sweep.
+        simulator = ModuleSimulator.from_source(
+            """
+            module m(input a, input b, output reg y, output t);
+                always @(*) begin
+                    y = t & b;
+                    $display("y=", y);
+                end
+                assign t = a ^ b;
+            endmodule
+            """
+        )
+        counts = [len(simulator.display_log)]
+        for vector in ({"a": 1, "b": 0}, {"b": 1}, {"b": 1}, {"a": 0}, {"a": 0, "b": 0}):
+            simulator.apply_inputs(vector)
+            counts.append(len(simulator.display_log))
+        assert counts == [1, 4, 8, 9, 13, 16]
+
+    def test_function_reading_a_module_signal_tracks_it(self):
+        simulator = ModuleSimulator.from_source(
+            """
+            module m(input [3:0] a, input [3:0] k, output [3:0] y);
+                function [3:0] mix;
+                    input [3:0] v;
+                    mix = v ^ k;
+                endfunction
+                assign y = mix(a);
+            endmodule
+            """
+        )
+        simulator.apply_inputs({"a": 1, "k": 0})
+        assert simulator.get_int("y") == 1
+        simulator.apply_inputs({"k": 3})  # only the function body reads k
+        assert simulator.get_int("y") == 2
+
+    def test_out_of_order_chain_settles_across_sweeps(self):
+        simulator = ModuleSimulator.from_source(
+            """
+            module m(input [3:0] a, output [3:0] y);
+                wire [3:0] s1, s2;
+                assign y = s2 + 4'd1;
+                assign s2 = s1 ^ 4'b1010;
+                assign s1 = a;
+            endmodule
+            """
+        )
+        for a in (0, 5, 5, 15):
+            simulator.apply_inputs({"a": a})
+            assert simulator.get_int("y") == ((a ^ 0b1010) + 1) & 0xF
+
+    def test_clones_share_one_schedule_index(self):
+        from repro.verilog.design import DesignDatabase
+
+        compiled = DesignDatabase().compile(
+            "module m(input a, output y); assign y = ~a; endmodule"
+        )
+        first, second = ModuleSimulator(compiled), ModuleSimulator(compiled)
+        assert first.schedule is second.schedule is compiled.template.schedule
+
+
+class TestWidthCap:
+    def test_declaration_above_the_cap_is_an_elaboration_error(self):
+        for declaration in (
+            f"reg [{MAX_SIGNAL_WIDTH}:0] r;",
+            "wire [99999999:0] w;",
+            f"function [{MAX_SIGNAL_WIDTH}:0] f; input a; f = a; endfunction",
+        ):
+            source = f"module m(input a, output y); {declaration} assign y = a; endmodule"
+            with pytest.raises(ElaborationError, match="bits wide"):
+                ModuleSimulator.from_source(source)
+        with pytest.raises(ElaborationError, match="bits wide"):
+            ModuleSimulator.from_source("module m(input [99999999:0] a, output y); assign y = a[0]; endmodule")
+
+    def test_declaration_at_the_cap_elaborates(self):
+        simulator = ModuleSimulator.from_source(
+            f"module m(input a, output y); reg [{MAX_SIGNAL_WIDTH - 1}:0] r; assign y = a; endmodule"
+        )
+        assert simulator.get("r").width == MAX_SIGNAL_WIDTH

@@ -10,7 +10,11 @@ be a fixed point (``write(parse(write(m))) == write(m)``).
 The same generator doubles as the execution-fuzz corpus: every module is also
 driven through a *three-way differential* — codegen back end vs batch
 interpreter vs the scalar ``ModuleSimulator`` — comparing every output signal
-on every lane after every input application (x/z bits included).
+on every lane after every input application (x/z bits included).  A second,
+clocked corpus (:meth:`_SourceGen.clocked_module`) targets the scalar
+scheduler: out-of-order combinational chains, double writes, x/z case arms, a
+function reading a module signal and occasional combinational loops, run for
+16 cycles with a mid-run reset.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ import random
 import pytest
 
 from repro.verilog.design import DesignDatabase
+from repro.verilog.errors import SimulationError
 from repro.verilog.parser import parse_module
 from repro.verilog.simulator import BatchSimulator, ModuleSimulator
 from repro.verilog.writer import write_module
@@ -159,8 +164,100 @@ class _SourceGen:
                     )
             outputs.append(name)
             self.signals[name] = width
-        header = "module fuzzmod (\n    " + ",\n    ".join(ports) + "\n);\n"
-        return header + "\n".join("    " + item.replace("\n", "\n    ") for item in items) + "\nendmodule\n"
+        return _assemble(ports, items)
+
+    # ------------------------------------------------------------------ clocked modules
+    def xz_literal(self, width: int, kind: str) -> str:
+        """A case-item literal with some x/z (and, for casez, ``?``) digits."""
+        wild = "xz?" if kind == "casez" else "xz"
+        digits = "".join(
+            self.rng.choice("01") if self.rng.random() < 0.7 else self.rng.choice(wild)
+            for _ in range(width)
+        )
+        return f"{width}'b{digits}"
+
+    def xz_case(self, target: str, nonblocking: bool) -> str:
+        rng = self.rng
+        kind = rng.choice(["case", "casez", "casex"])
+        subject = rng.choice(list(self.signals))
+        width = self.signals[subject]
+        arms = "\n".join(
+            f"    {self.xz_literal(width, kind)}: {self.statement(target, 0, nonblocking)}"
+            for _ in range(rng.randint(1, 3))
+        )
+        return (
+            f"{kind} ({subject})\n{arms}\n"
+            f"    default: {self.statement(target, 0, nonblocking)}\n"
+            "endcase"
+        )
+
+    def clocked_module(self) -> str:
+        """A clocked module aimed at the scalar scheduler.
+
+        State registers with reset feed a chain of combinational processes
+        that is declared in reverse dependency order, so settling takes
+        several sweeps.  One ``always @*`` link writes its signal twice per
+        run, case arms carry x/z digits, a function reads a state register
+        it is not passed, and about one module in six closes the chain into
+        a combinational loop (which may or may not settle).
+        """
+        rng = self.rng
+        self.signals = {"rst": 1}
+        ports = ["input clk", "input rst"]
+        for index in range(rng.randint(1, 3)):
+            width = rng.choice([1, 2, 4, 8])
+            name = f"in{index}"
+            self.signals[name] = width
+            ports.append(f"input [{width - 1}:0] {name}" if width > 1 else f"input {name}")
+        state = [f"s{index}" for index in range(rng.randint(1, 2))]
+        chain = [f"c{index}" for index in range(rng.randint(2, 4))]
+        declarations = [f"reg [3:0] {name};" for name in state + chain]
+        for name in state:
+            self.signals[name] = 4
+        declarations.append(
+            "function [3:0] mix;\n"
+            "    input [3:0] v;\n"
+            f"    mix = v ^ {rng.choice(state)};\n"
+            "endfunction"
+        )
+        looped = rng.random() < 1 / 6
+        links: list[str] = []
+        for index, name in enumerate(chain):
+            previous = chain[index - 1] if index else (chain[-1] if looped else None)
+            feed = f" ^ {previous}" if previous else ""
+            roll = rng.random()
+            if roll < 0.3:
+                links.append(f"always @(*) begin\n    {name} = {self.expr(2)};\n"
+                             f"    if ({self.expr(1)}) {name} = {name}{feed} ^ 4'd{rng.randrange(16)};\n"
+                             f"    else {name} = mix({name}){feed};\nend")
+            elif roll < 0.55:
+                links.append(f"always @(*) begin\n    {name} = {self.expr(1)}{feed};\n"
+                             f"    {self.xz_case(name, nonblocking=False)}\nend")
+            else:
+                call = f"mix({self.expr(1)})" if rng.random() < 0.4 else self.expr(2)
+                links.append(f"assign {name} = {call}{feed};")
+            self.signals[name] = 4
+        links.reverse()
+        registers: list[str] = []
+        for name in state:
+            sensitivity = rng.choice(["posedge clk", "posedge clk or posedge rst"])
+            update = (
+                self.xz_case(name, nonblocking=True)
+                if rng.random() < 0.4
+                else self.statement(name, 2, nonblocking=True)
+            )
+            registers.append(
+                f"always @({sensitivity})\n    if (rst) {name} <= 4'd0;\n    else {update}"
+            )
+        ports.append("output [3:0] out0")
+        ports.append("output [3:0] out1")
+        outputs = [f"assign out0 = {chain[-1]};", f"assign out1 = {self.expr(2)};"]
+        return _assemble(ports, declarations + registers + links + outputs)
+
+
+def _assemble(ports: list[str], items: list[str]) -> str:
+    header = "module fuzzmod (\n    " + ",\n    ".join(ports) + "\n);\n"
+    return header + "\n".join("    " + item.replace("\n", "\n    ") for item in items) + "\nendmodule\n"
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -203,37 +300,80 @@ def test_three_way_differential_execution(seed):
     surfacing as undef sources) still run here — ``auto`` then *is* the
     interpreter, and the differential degenerates to batch-vs-scalar, which is
     exactly the fallback contract being checked.
+
+    Each seed runs the :meth:`_SourceGen.module` corpus for 4 cycles with
+    reset in the first, then the :meth:`_SourceGen.clocked_module` corpus for
+    16 cycles with reset in the first and again partway through.
     """
-    source = _SourceGen(seed).module()
+    _three_way(_SourceGen(seed).module(), random.Random(seed * 7919 + 1), cycles=_FUZZ_STEPS, resets={0})
+    rng = random.Random(seed * 7919 + 2)
+    _three_way(
+        _SourceGen(seed).clocked_module(),
+        rng,
+        cycles=_CLOCKED_CYCLES,
+        resets={0, rng.randrange(5, 11)},
+    )
+
+
+_CLOCKED_CYCLES = 16
+
+
+def _three_way(source: str, rng: random.Random, cycles: int, resets: set[int]) -> None:
+    """Drive one module through all three engines; compare after every phase.
+
+    When one engine raises :class:`SimulationError` (a combinational loop
+    that does not settle), every engine must raise on that same phase: the
+    scalar simulator on some lane, the batch engines over all of them.
+    """
     compiled = DesignDatabase().compile(source)
     widths = compiled.input_widths()
     data_inputs = sorted(set(widths) - {"clk", "rst"})
     outputs = [port.name for port in compiled.template.output_ports()]
-    rng = random.Random(seed * 7919 + 1)
 
-    fast = BatchSimulator(compiled, lanes=_FUZZ_LANES, backend="auto")
-    slow = BatchSimulator(compiled, lanes=_FUZZ_LANES, backend="interpret")
+    def raised(apply) -> bool:
+        try:
+            apply()
+        except SimulationError:
+            return True
+        return False
+
+    engines = [
+        BatchSimulator(compiled, lanes=_FUZZ_LANES, backend=backend)
+        for backend in ("auto", "interpret")
+    ]
     scalars = [ModuleSimulator(compiled) for _ in range(_FUZZ_LANES)]
 
-    for step in range(_FUZZ_STEPS):
+    for step in range(cycles):
         data = {
             name: [rng.randrange(1 << widths[name]) for _ in range(_FUZZ_LANES)]
             for name in data_inputs
         }
-        rst = 1 if step == 0 else 0
+        rst = 1 if step in resets else 0
         for phase in (
             {**data, "rst": [rst] * _FUZZ_LANES, "clk": [0] * _FUZZ_LANES},
             {"clk": [1] * _FUZZ_LANES},
             {"clk": [0] * _FUZZ_LANES},
         ):
-            fast.apply_inputs({name: list(values) for name, values in phase.items()})
-            slow.apply_inputs({name: list(values) for name, values in phase.items()})
-            for lane, scalar in enumerate(scalars):
-                scalar.apply_inputs(
+            batch_raised = [
+                raised(lambda engine=engine: engine.apply_inputs(
+                    {name: list(values) for name, values in phase.items()}
+                ))
+                for engine in engines
+            ]
+            scalar_raised = [
+                raised(lambda lane=lane, scalar=scalar: scalar.apply_inputs(
                     {name: values[lane] for name, values in phase.items()}
-                )
-            _snapshot(fast, scalars, outputs)
-            _snapshot(slow, scalars, outputs)
+                ))
+                for lane, scalar in enumerate(scalars)
+            ]
+            assert batch_raised == [any(scalar_raised)] * len(engines), (
+                f"step {step}: batch engines raised {batch_raised}, "
+                f"scalar lanes raised {scalar_raised}\n{source}"
+            )
+            if any(scalar_raised):
+                return
+            for engine in engines:
+                _snapshot(engine, scalars, outputs)
 
 
 def test_roundtrip_preserves_number_literal_text():
