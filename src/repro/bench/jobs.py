@@ -42,6 +42,7 @@ import hashlib
 import math
 import pickle
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Sequence
 
@@ -240,15 +241,36 @@ INDUCTION_DEPTH = 4
 #: its own copy via fork/spawn, so models never cross process boundaries).
 _worker_goldens = GoldenCache()
 
-#: Per-process incremental equivalence sessions, keyed by (reference design
-#: key, checked-output tuple): every candidate of a sweep that lands on this
-#: worker proves against the same persistent solver.  Like the golden cache,
-#: sessions never cross process boundaries.
-_worker_sessions: dict[tuple[str, tuple[str, ...] | None], object] = {}
-#: Insertion-ordered eviction cap — a worker serving many distinct references
-#: (e.g. a whole suite) keeps the most recent sessions, each of which owns a
-#: solver with a growing clause database.
-_WORKER_SESSION_CAP = 32
+#: Per-process incremental equivalence sessions, least recently used first,
+#: keyed by (reference design key, checked-output tuple): every candidate of a
+#: sweep that lands on this worker proves against the same persistent solver.
+#: Like the golden cache, sessions never cross process boundaries.
+_worker_sessions: OrderedDict[tuple[str, tuple[str, ...] | None], object] = OrderedDict()
+#: AIG nodes all of the worker's sessions may hold together.  A session's
+#: graph grows with every candidate it admits (its cone, and the dead logic
+#: symbolic execution and fraiging leave behind), so after each proof the
+#: least recently used sessions are evicted until the total fits; an evicted
+#: session is rebuilt on its next use.
+_WORKER_SESSION_NODE_BUDGET = 16_384
+
+
+def _session_nodes() -> int:
+    """AIG nodes held by the worker's equivalence sessions."""
+    return sum(session.aig.num_nodes for session in _worker_sessions.values())
+
+
+def _trim_sessions() -> None:
+    """Evict least recently used sessions until they fit the node budget.
+
+    The session just used is evicted only when it alone is over the budget:
+    its sweep is likely to continue.
+    """
+    held = _session_nodes()
+    while len(_worker_sessions) > 1 and held > _WORKER_SESSION_NODE_BUDGET:
+        _, evicted = _worker_sessions.popitem(last=False)
+        held -= evicted.aig.num_nodes
+    if held > _WORKER_SESSION_NODE_BUDGET:
+        _worker_sessions.clear()
 
 
 def _session_for(request: CheckRequest):
@@ -263,7 +285,7 @@ def _session_for(request: CheckRequest):
         design_key(request.reference_source),
         tuple(request.check_outputs) if request.check_outputs is not None else None,
     )
-    session = _worker_sessions.get(key)
+    session = _worker_sessions.pop(key, None)
     if session is None:
         session = EquivalenceSession(
             request.reference_source,
@@ -271,9 +293,7 @@ def _session_for(request: CheckRequest):
             conflict_limit=request.formal_conflict_limit,
             database=request.database,
         )
-        while len(_worker_sessions) >= _WORKER_SESSION_CAP:
-            _worker_sessions.pop(next(iter(_worker_sessions)))
-        _worker_sessions[key] = session
+    _worker_sessions[key] = session  # most recently used last
     return session
 
 
@@ -350,9 +370,10 @@ def _formal_check(request: CheckRequest, golden) -> TestbenchResult | None:
     """Complete SAT equivalence proof against the task's reference design.
 
     Combinational tasks are proven on the worker's persistent
-    :class:`EquivalenceSession`; sequential tasks get an **unbounded**
-    k-induction proof at :data:`INDUCTION_DEPTH`.  Returns ``None`` (→
-    simulation fallback) for designs outside the provable subset,
+    :class:`EquivalenceSession`, and the sessions are then trimmed to
+    :data:`_WORKER_SESSION_NODE_BUDGET`; sequential tasks get an
+    **unbounded** k-induction proof at :data:`INDUCTION_DEPTH`.  Returns
+    ``None`` (→ simulation fallback) for designs outside the provable subset,
     inconclusive inductions, or an exhausted SAT conflict budget.
     """
     from ..formal import ConflictLimitExceeded, FormalEncodingError, FormalError
@@ -385,6 +406,8 @@ def _formal_check(request: CheckRequest, golden) -> TestbenchResult | None:
         return None  # outside the provable subset / budget: simulate instead
     except (FormalError, VerilogError) as exc:
         return TestbenchResult(passed=False, error=str(exc))
+    finally:
+        _trim_sessions()
     if proof.equivalent:
         return TestbenchResult(
             passed=True,

@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
+from ..deadline import check_deadline
 from ..verilog import ast_nodes as ast
 from ..verilog.design import coerce_compiled
 from ..verilog.simulator.scheduler import MAX_LOOP_ITERATIONS, ProcessKind
@@ -150,6 +151,7 @@ class SymbolicExecutor:
     def settle(self) -> None:
         """Re-run combinational processes until the symbolic store is stable."""
         for _ in range(MAX_SETTLE_ITERATIONS):
+            check_deadline("SymbolicExecutor.settle")
             changed = False
             for process in self.design.processes:
                 if process.kind is not ProcessKind.COMBINATIONAL:
@@ -1021,13 +1023,64 @@ class SequentialUnroller:
                     else:
                         bits.append(TRUE if (concrete.value >> bit) & 1 else FALSE)
                 executor.values[name] = SymVector(tuple(bits))
+        outputs_per_step = self._run_steps(executor, step_inputs)
+        # Only undef bits actually feeding an output matter; the constructor's
+        # eager undef inputs are mostly dead once the reset state is written.
+        roots = [
+            literal
+            for step in outputs_per_step
+            for vector in step.values()
+            for literal in vector.bits
+        ]
+        live_undefs = self.aig.support(roots) & executor.undef_inputs
+        return outputs_per_step, live_undefs
+
+    def unroll_from_symbolic_state(
+        self, step_inputs: Sequence[Mapping[str, SymVector]], state_prefix: str
+    ) -> list[dict[str, SymVector]]:
+        """Unroll like :meth:`unroll`, from an arbitrary state instead of reset.
+
+        Every non-port signal is seeded with fresh
+        ``{state_prefix}{name}[{bit}]`` inputs instead of the concrete
+        post-reset values, so the unrolling ranges over every conceivable
+        register state (the inductive step of k-induction); combinational
+        signals are settled from that state before the first clock edge.
+        """
+        input_names = {port.name for port in self.design.input_ports()}
+        literals: dict[str, SymVector] = {}
+        for name, width in self.design.store.widths.items():
+            if name in input_names:
+                # Pinned / overwritten per step — a constant avoids the
+                # constructor declaring dead AIG inputs for the ports.
+                literals[name] = SymVector.constant(0, width)
+            else:
+                literals[name] = SymVector(
+                    tuple(
+                        self.aig.add_input(f"{state_prefix}{name}[{bit}]")
+                        for bit in range(width)
+                    )
+                )
+        executor = SymbolicExecutor(
+            self.design,
+            self.aig,
+            input_literals=literals,
+            undef_prefix=self.undef_prefix,
+        )
+        return self._run_steps(executor, step_inputs)
+
+    def _run_steps(
+        self,
+        executor: SymbolicExecutor,
+        step_inputs: Sequence[Mapping[str, SymVector]],
+    ) -> list[dict[str, SymVector]]:
+        """Pin clock/reset, then clock ``executor`` once per step's inputs."""
         executor.set_concrete(self.clock, 0)
         if self.reset is not None:
             executor.set_concrete(self.reset, 1 if self.reset_active_low else 0)
-
         outputs_per_step: list[dict[str, SymVector]] = []
         output_names = [port.name for port in self.design.output_ports()]
         for step, inputs in enumerate(step_inputs):
+            check_deadline("SequentialUnroller.step")
             for name in self.data_inputs:
                 vector = inputs.get(name)
                 if vector is None:
@@ -1042,16 +1095,7 @@ class SequentialUnroller:
             outputs_per_step.append(
                 {name: executor.values[name] for name in output_names}
             )
-        # Only undef bits actually feeding an output matter; the constructor's
-        # eager undef inputs are mostly dead once the reset state is written.
-        roots = [
-            literal
-            for step in outputs_per_step
-            for vector in step.values()
-            for literal in vector.bits
-        ]
-        live_undefs = self.aig.support(roots) & executor.undef_inputs
-        return outputs_per_step, live_undefs
+        return outputs_per_step
 
     def make_step_inputs(self, steps: int, prefix: str = "") -> list[dict[str, SymVector]]:
         """Declare fresh per-step input vectors named ``{name}@{step}[{bit}]``."""

@@ -192,6 +192,11 @@ class EquivalenceSession:
         #: result's ``stats``).
         self.proofs = 0
         self.total_conflicts = 0
+        #: Source of the ``dut<N>:`` undef-name prefixes.  It only ever
+        #: increases: a candidate whose admission raised leaves its undef
+        #: inputs declared in the AIG without being stored, so an index
+        #: derived from the stored candidates would be handed out twice.
+        self._admissions = 0
 
     # ------------------------------------------------------------------ inputs
     def _free_input(self, name: str, width: int) -> SymVector:
@@ -257,7 +262,8 @@ class EquivalenceSession:
             return cached
         dut_compiled = self._database.compile(dut_source, module_name)
         shared = self._shared_inputs(dut_compiled)
-        index = len(self._candidates)
+        index = self._admissions
+        self._admissions += 1
         dut_cone = build_combinational_cone(
             dut_compiled, self.aig, input_literals=shared, undef_prefix=f"dut{index}:"
         )

@@ -29,7 +29,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .aig import AIG, FormalEncodingError, SymVector, negate
-from .cone import SequentialUnroller, SymbolicExecutor
+from .cone import SequentialUnroller
 from .miter import (
     EquivalenceResult,
     _compare_output,
@@ -60,64 +60,6 @@ def _merge_stats(base: SatStats, step: SatStats) -> SatStats:
         restarts=base.restarts + step.restarts,
         learned_clauses=base.learned_clauses + step.learned_clauses,
     )
-
-
-def _unroll_from_symbolic_state(
-    unroller: SequentialUnroller,
-    step_inputs: Sequence[dict[str, SymVector]],
-    state_prefix: str,
-) -> list[dict[str, SymVector]]:
-    """Unroll like :meth:`SequentialUnroller.unroll`, from an arbitrary state.
-
-    Every non-port signal is seeded with fresh ``{state_prefix}{name}[{bit}]``
-    inputs instead of the concrete post-reset values, so the unrolling ranges
-    over every conceivable register state; combinational signals are settled
-    from that state before the first clock edge.
-    """
-    aig = unroller.aig
-    input_names = {port.name for port in unroller.design.input_ports()}
-    literals: dict[str, SymVector] = {}
-    for name, width in unroller.design.store.widths.items():
-        if name in input_names:
-            # Pinned below / overwritten per step — a constant avoids the
-            # constructor declaring dead AIG inputs for the ports.
-            literals[name] = SymVector.constant(0, width)
-        else:
-            literals[name] = SymVector(
-                tuple(
-                    aig.add_input(f"{state_prefix}{name}[{bit}]")
-                    for bit in range(width)
-                )
-            )
-    executor = SymbolicExecutor(
-        unroller.design,
-        aig,
-        input_literals=literals,
-        undef_prefix=unroller.undef_prefix,
-    )
-    executor.set_concrete(unroller.clock, 0)
-    if unroller.reset is not None:
-        executor.set_concrete(
-            unroller.reset, 1 if unroller.reset_active_low else 0
-        )
-    output_names = [port.name for port in unroller.design.output_ports()]
-    outputs_per_step: list[dict[str, SymVector]] = []
-    for step, inputs in enumerate(step_inputs):
-        for name in unroller.data_inputs:
-            vector = inputs.get(name)
-            if vector is None:
-                raise FormalEncodingError(
-                    f"step {step} is missing a literal vector for input {name!r}"
-                )
-            executor.values[name] = vector.resized(executor.widths[name])
-            executor.input_vectors[name] = executor.values[name]
-        executor.settle()
-        executor.clock_step()
-        executor.settle()
-        outputs_per_step.append(
-            {name: executor.values[name] for name in output_names}
-        )
-    return outputs_per_step
 
 
 def prove_sequential_by_induction(
@@ -205,9 +147,9 @@ def prove_sequential_by_induction(
                 for name, width in widths.items()
             }
         )
-    dut_steps = _unroll_from_symbolic_state(dut_unroller, step_inputs, "dut_state:")
-    reference_steps = _unroll_from_symbolic_state(
-        reference_unroller, step_inputs, "ref_state:"
+    dut_steps = dut_unroller.unroll_from_symbolic_state(step_inputs, "dut_state:")
+    reference_steps = reference_unroller.unroll_from_symbolic_state(
+        step_inputs, "ref_state:"
     )
 
     checked = list(base.checked_outputs)

@@ -10,14 +10,18 @@ parse → write → parse surface the generation pipeline does.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import random
 
 import pytest
 
-from repro.bench.golden import batch_equivalence_mismatches
+from repro.bench import jobs
+from repro.bench.golden import VerilogGolden, batch_equivalence_mismatches
 from repro.formal import (
     ConflictLimitExceeded,
     EquivalenceSession,
+    FormalEncodingError,
     prove_combinational_equivalence,
     proof_stats,
     reset_proof_stats,
@@ -188,3 +192,61 @@ def test_result_carries_sat_and_fraig_accounting():
 
     with pytest.raises(FormalEncodingError):
         session.prove(wide)
+
+
+#: Drives an undriven net into a checked output: admission raises after the
+#: cone (and its undef inputs ``__undef__dut<N>:w[*]``) is already built.
+UNDRIVEN_OUTPUT = _roundtrip(
+    "module refmod(input [3:0] a, input [3:0] b, input c, output [4:0] s, output p);\n"
+    "    wire [3:0] w;\n    assign s = a + b + w;\n    assign p = ^(a ^ b);\nendmodule"
+)
+
+#: Equivalent to the reference, but declares the same undriven net: its cone
+#: has undef inputs too, only none feeds a checked output.
+UNUSED_UNDRIVEN = _roundtrip(
+    "module refmod(input [3:0] a, input [3:0] b, input c, output [4:0] s, output p);\n"
+    "    wire [3:0] w;\n    assign s = a + b + c;\n    assign p = ^(a ^ b);\nendmodule"
+)
+
+
+def test_failed_admission_does_not_hand_its_undef_names_to_the_next_candidate():
+    """Regression: the undef-name index came from the stored candidates.
+
+    A candidate whose admission raises is never stored, so the next one got
+    the same ``dut<N>:`` prefix and `AIG.add_input` raised ``already
+    declared`` — in a sweep, a correct candidate was retried and quarantined.
+    """
+    session = EquivalenceSession(REFERENCE)
+    with pytest.raises(FormalEncodingError):
+        session.prove(UNDRIVEN_OUTPUT)
+    with pytest.raises(FormalEncodingError):
+        prove_combinational_equivalence(UNDRIVEN_OUTPUT, REFERENCE)
+    fresh = prove_combinational_equivalence(UNUSED_UNDRIVEN, REFERENCE)
+    assert session.prove(UNUSED_UNDRIVEN).equivalent == fresh.equivalent is True
+
+
+def test_formal_batch_over_a_failed_admission_quarantines_nothing():
+    stimulus = [
+        {"a": a, "b": b, "c": c}
+        for a, b, c in itertools.product(range(0, 16, 5), range(0, 16, 3), range(2))
+    ]
+    mode = jobs.mode_key("formal", 50_000)
+    requests = [
+        jobs.CheckRequest(
+            key=jobs.ResultKey(jobs.design_key(code), "undef-reuse", mode),
+            code=code,
+            task_id="undef_reuse",
+            golden_factory=functools.partial(VerilogGolden, REFERENCE),
+            stimulus=stimulus,
+            reference_source=REFERENCE,
+            mode="formal",
+        )
+        for code in (UNDRIVEN_OUTPUT, UNUSED_UNDRIVEN)
+    ]
+    jobs._worker_sessions.clear()  # both proofs land on one fresh session
+    report = jobs.run_checks(requests)
+    assert not report.quarantined()
+    undriven, unused = (report.executions[request.key] for request in requests)
+    assert not undriven.result.passed  # the x-driven sum mismatches in simulation
+    assert unused.result.passed and unused.attempts == 1
+    assert unused.result.proof_stats["method"] in ("sat", "structural")
